@@ -15,7 +15,9 @@
 //     2L-1G GET throughput must reach >= 1.5x 1L-1G at 4 nodes;
 //   * tail latency stays bounded: zipfian 2L-1G p99 GET latency must not
 //     exceed 1.25x the committed baseline (the simulation is deterministic,
-//     so drift means the protocol or store changed, not noise).
+//     so drift means the protocol or store changed, not noise);
+//   * host work stays bounded: every row costs at most kMaxEventsPerOp
+//     simulator events per KV op (no wait spins on simulated time).
 //
 // Usage: kv_bench [--quick] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_kv.json artifact.
@@ -47,6 +49,10 @@ constexpr double kZipfTheta = 0.99;
 // Gate for the PUT-heavy small-value batched vs unbatched throughput uplift
 // (simulated ops/sec; enforced on every run and on --check).
 constexpr double kMinPutSmallSpeedup = 1.3;
+
+// Ceiling on simulator events per KV op, every row (bench_common.hpp
+// kv_events_per_op; enforced on every run and on --check).
+constexpr double kMaxEventsPerOp = 150;
 
 struct Workload {
   std::string name;
@@ -169,6 +175,7 @@ struct Result {
   std::uint64_t get_p50 = 0, get_p95 = 0, get_p99 = 0;  // simulated ns
   std::uint64_t put_p50 = 0, put_p99 = 0;
   std::uint64_t offered = 0, late = 0, rejected = 0;  // open-loop rows only
+  double events_per_op = 0;
   std::uint64_t counters_fnv = 0;
 };
 
@@ -316,6 +323,7 @@ Result run_workload(const Workload& w) {
   r.put_p99 = put_h.p99();
 
   stats::Counters all = sys.aggregate_counters();
+  r.events_per_op = bench::kv_events_per_op(cluster, all);
   bench::merge_engine_counters(cluster, w.nodes, all);
   r.counters_fnv = bench::counters_fingerprint(all);
   return r;
@@ -339,6 +347,7 @@ bool check_headlines(const std::vector<std::pair<Workload, Result>>& rs) {
                 << " failed ops\n";
       ok = false;
     }
+    ok &= bench::check_events_per_op(w.name, r.events_per_op, kMaxEventsPerOp);
   }
   const Result* one = find(rs, "kv-zipf-95g-1L-1G-n4");
   const Result* two = find(rs, "kv-zipf-95g-2L-1G-n4");
@@ -390,7 +399,7 @@ int main(int argc, char** argv) {
 
   stats::Table t({"workload", "clients", "ops", "sim(ms)", "Kops/s",
                   "GET Kops/s", "GETp50(us)", "GETp95", "GETp99", "PUTp99",
-                  "counters"});
+                  "ev/op", "counters"});
   std::vector<std::pair<Workload, Result>> results;
   for (const Workload& w : workloads(args.quick)) {
     Result r = run_workload(w);
@@ -406,6 +415,7 @@ int main(int argc, char** argv) {
         .cell(us(r.get_p95), 1)
         .cell(us(r.get_p99), 1)
         .cell(us(r.put_p99), 1)
+        .cell(r.events_per_op, 1)
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
@@ -428,7 +438,8 @@ int main(int argc, char** argv) {
           << ", \"get_p95_us\": " << stats::json::number(us(r.get_p95))
           << ", \"get_p99_us\": " << stats::json::number(us(r.get_p99))
           << ", \"put_p50_us\": " << stats::json::number(us(r.put_p50))
-          << ", \"put_p99_us\": " << stats::json::number(us(r.put_p99));
+          << ", \"put_p99_us\": " << stats::json::number(us(r.put_p99))
+          << ", \"events_per_op\": " << stats::json::number(r.events_per_op);
       if (w.open_loop) {
         out << ", \"offered\": " << r.offered << ", \"shed_late\": " << r.late
             << ", \"shed_rejected\": " << r.rejected;
@@ -447,7 +458,8 @@ int main(int argc, char** argv) {
         << ", \"kops_batched\": " << stats::json::number(pb ? pb->kops : 0)
         << ", \"speedup\": " << stats::json::number(up)
         << ", \"min_speedup\": " << stats::json::number(kMinPutSmallSpeedup)
-        << "}\n}\n";
+        << "},\n  \"max_events_per_op\": "
+        << stats::json::number(kMaxEventsPerOp) << "\n}\n";
     std::cout << "wrote " << args.json_path << '\n';
   }
 

@@ -23,7 +23,8 @@
 //     (rejected > 0 at the top rung), not by queueing until collapse;
 //   * the broker's accepted-op p99 stays bounded at the top rung while the
 //     per-client baseline's p99 blows past it (the open-loop collapse the
-//     broker exists to prevent).
+//     broker exists to prevent);
+//   * every row costs at most kMaxEventsPerOp simulator events per KV op.
 //
 // Usage: svc_bench [--quick] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_svc.json artifact.
@@ -58,6 +59,9 @@ constexpr double kZipfTheta = 0.99;
 // Gates (see file header).
 constexpr double kMinConnRatio = 8.0;
 constexpr double kMinOverloadGoodputFrac = 0.8;
+// Ceiling on simulator events per KV op, every row (bench_common.hpp
+// kv_events_per_op).
+constexpr double kMaxEventsPerOp = 200;
 
 struct Point {
   std::string name;
@@ -73,6 +77,7 @@ struct Result {
   std::uint64_t p50 = 0, p95 = 0, p99 = 0;  // arrival->completion, sim ns
   bench::OpenLoopCounts oc;
   std::uint64_t conns = 0;  // client-side connections opened
+  double events_per_op = 0;
   std::uint64_t counters_fnv = 0;
 };
 
@@ -180,6 +185,7 @@ Result run_point(const Point& pt) {
 
   stats::Counters all = sys.aggregate_counters();
   r.conns = pt.broker ? all.get("svc_conns_opened") : all.get("kv_client_conns");
+  r.events_per_op = bench::kv_events_per_op(cluster, all);
   bench::merge_engine_counters(cluster, kNodes, all);
   r.counters_fnv = bench::counters_fingerprint(all);
   return r;
@@ -239,6 +245,9 @@ double peak_goodput(const std::vector<std::pair<Point, Result>>& rs,
 
 bool check_headlines(const std::vector<std::pair<Point, Result>>& rs) {
   bool ok = true;
+  for (const auto& [p, r] : rs) {
+    ok &= bench::check_events_per_op(p.name, r.events_per_op, kMaxEventsPerOp);
+  }
 
   // Connection economy: compare totals at the shared top rung.
   const Result* pc_top = find(rs, "svc-perclient-sweep-220k");
@@ -335,7 +344,7 @@ int main(int argc, char** argv) {
 
   stats::Table t({"workload", "offered(K/s)", "goodput(K/s)", "p50(us)",
                   "p95(us)", "p99(us)", "ok", "late", "rej", "err", "conns",
-                  "counters"});
+                  "ev/op", "counters"});
   std::vector<std::pair<Point, Result>> results;
   for (const Point& p : points(args.quick)) {
     Result r = run_point(p);
@@ -352,6 +361,7 @@ int main(int argc, char** argv) {
         .cell(r.oc.rejected)
         .cell(r.oc.errors)
         .cell(r.conns)
+        .cell(r.events_per_op, 1)
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
@@ -377,13 +387,16 @@ int main(int argc, char** argv) {
           << ", \"shed_late\": " << r.oc.late
           << ", \"shed_rejected\": " << r.oc.rejected
           << ", \"errors\": " << r.oc.errors << ", \"conns\": " << r.conns
+          << ", \"events_per_op\": " << stats::json::number(r.events_per_op)
           << ", \"counters_fnv1a\": \"" << bench::hex(r.counters_fnv) << "\"}"
           << (i + 1 < results.size() ? ",\n" : "\n");
     }
     out << "  ],\n  \"gates\": {\"min_conn_ratio\": "
         << stats::json::number(kMinConnRatio)
         << ", \"min_overload_goodput_frac\": "
-        << stats::json::number(kMinOverloadGoodputFrac) << "}\n}\n";
+        << stats::json::number(kMinOverloadGoodputFrac)
+        << ", \"max_events_per_op\": " << stats::json::number(kMaxEventsPerOp)
+        << "}\n}\n";
     std::cout << "wrote " << args.json_path << '\n';
   }
 

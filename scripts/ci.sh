@@ -100,14 +100,16 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   # the second rail and hold the committed p99 tail, with exact counter
   # fingerprints against BENCH_kv.json. Also gates the PUT-heavy hot-server
   # pair: doorbell batching + selective signaling + server burst drain must
-  # lift small-value throughput >= 1.3x over the unbatched run.
+  # lift small-value throughput >= 1.3x over the unbatched run. Every row
+  # must stay under a fixed ceiling of simulator events per op.
   "$BENCH_DIR"/bench/kv_bench --check=BENCH_kv.json
   # Serving tier: open-loop overload curves. The broker must match the
   # per-client baseline's peak goodput with >= 8x fewer connections, hold
   # >= 0.8x its peak goodput at ~2x the saturating load with explicit
   # admission rejections (not unbounded queueing) absorbing the overload,
   # and keep its accepted-op p99 below the collapsing baseline's, with
-  # exact counter fingerprints against BENCH_svc.json. The artifact carries
+  # exact counter fingerprints against BENCH_svc.json and every row under a
+  # fixed ceiling of simulator events per op. The artifact carries
   # the full latency-vs-offered-load and incast curves (see ci.yml upload).
   "$BENCH_DIR"/bench/svc_bench --json="$BENCH_DIR"/BENCH_svc.json \
     --check=BENCH_svc.json

@@ -2,10 +2,10 @@
 
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 
 #include "proto/wire.hpp"
-#include "sim/process.hpp"
 
 namespace multiedge::coll {
 
@@ -119,24 +119,21 @@ void Communicator::signal(int peer, int chan) {
 }
 
 void Communicator::consume_signal(int src, int chan) {
-  const std::uint64_t want_va = domain_.slot_va(src, chan);
-  if (member_view_ == nullptr) {
-    win_.wait_notify(src, want_va);
-    return;
-  }
-  // Fail-fast path (membership attached): poll instead of blocking, so a
-  // peer dying mid-collective surfaces as PeerFailure instead of a hang.
-  // ANY dead peer aborts the wait, not just the one we are waiting on — a
-  // collective involves every rank, and in chained algorithms (dissemination
-  // barrier, ring) a rank can be blocked on an alive peer that is itself
-  // stuck behind the dead one.
-  for (;;) {
-    rma::NotifyEvent ev;
-    if (win_.test_notify(&ev, src, want_va)) return;
-    if (member_view_->num_down() > 0) {
-      int dead = src;
+  // Fail-fast (membership attached): a Dead mark in this node's view wakes
+  // the wait, which then aborts with PeerFailure instead of hanging. ANY
+  // dead peer aborts it, not just the one we are waiting on — a collective
+  // involves every rank, and in chained algorithms (dissemination barrier,
+  // ring) a rank can be blocked on an alive peer that is itself stuck
+  // behind the dead one. A rank whose own node was declared dead counts
+  // too: its peers have already given up on it.
+  std::function<void()> abort;
+  if (member_view_ != nullptr) {
+    abort = [this, src] {
+      const member::View& v = *member_view_;
+      if (v.num_down() == 0 && !v.declared_dead()) return;
+      int dead = v.declared_dead() ? v.self() : src;
       for (int p = 0; p < size_; ++p) {
-        if (member_view_->is_down(p)) {
+        if (v.is_down(p)) {
           dead = p;
           break;
         }
@@ -148,9 +145,9 @@ void Communicator::consume_signal(int src, int chan) {
                                        std::to_string(dead) +
                                        " marked dead during a collective");
       throw PeerFailure(dead);
-    }
-    sim::Process::current()->delay(sim::us(5));
+    };
   }
+  win_.wait_notify(src, domain_.slot_va(src, chan), abort);
 }
 
 std::uint32_t Communicator::chunk_bytes() const {

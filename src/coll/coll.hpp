@@ -175,8 +175,8 @@ class Communicator {
   const CollConfig& config() const { return domain_.config(); }
 
   /// Attach this rank's membership view: signal waits become fail-fast,
-  /// throwing PeerFailure when the awaited peer is marked Dead. The extra
-  /// polling path is taken ONLY when a view is attached, so failure-free
+  /// throwing PeerFailure once any peer is marked Dead or this rank's own
+  /// node learns that it was declared Dead. Without a view the wait has no abort check, so failure-free
   /// benchmarks keep their exact original behavior (and fingerprints).
   void set_membership(const member::View* view) { member_view_ = view; }
 

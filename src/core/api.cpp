@@ -180,9 +180,7 @@ Notification Endpoint::wait_notification(int tag) {
   // About to block: push out anything still parked in a submission ring
   // (often the request whose reply we are waiting for).
   if (!engine_.has_notification(tag)) flush();
-  while (!engine_.has_notification(tag)) {
-    engine_.notify_events().wait();
-  }
+  wait_until([&] { return engine_.has_notification(tag); });
   charge_protocol(engine_.costs().syscall_cost);
   return engine_.pop_notification(tag);
 }
@@ -267,9 +265,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
                                                  *ns->proto_cpu, cfg_.protocol,
                                                  cfg_.costs);
     for (int r = 0; r < rails; ++r) {
-      ns->drivers.push_back(
-          std::make_unique<driver::SimNetDriver>(network_->nic(i, r)));
-      ns->engine->add_rail(ns->drivers.back().get());
+      ns->engine->add_rail(&network_->nic(i, r));
     }
     ns->engine->set_mac_table(macs);
     ns->endpoint = std::make_unique<Endpoint>(*this, i, *ns->engine, *ns->memory,

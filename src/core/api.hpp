@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/sim_net_driver.hpp"
 #include "net/topology.hpp"
 #include "proto/config.hpp"
 #include "proto/engine.hpp"
@@ -211,6 +210,23 @@ class Endpoint {
   bool poll_notification_match(Notification* out, int tag, int src,
                                std::uint64_t va);
 
+  // --- the blocking wait (fiber-blocking; contract in DESIGN.md §4) ---
+  /// Block until `pred()` holds or simulated time reaches `deadline`;
+  /// returns pred()'s final value (false = timed out). Re-checks after each
+  /// notify of this node's notify_events() queue. Charges no CPU.
+  template <class Pred>
+  bool wait_until(Pred&& pred, sim::Time deadline = sim::kTimeInfinity) {
+    while (!pred()) {
+      if (engine_.sim().now() >= deadline ||
+          !engine_.notify_events().wait_until(deadline)) {
+        return pred();
+      }
+    }
+    return true;
+  }
+  /// Make every wait_until() on this node re-check its predicate.
+  void notify_waiters() { engine_.notify_events().notify_all(); }
+
   /// Flush every dirty submission ring on this node (batch_submission):
   /// one kernel entry covers all of them. No-op (and free) when nothing is
   /// batched. Blocking calls (OpHandle::wait, wait_notification) flush
@@ -353,7 +369,6 @@ class Cluster {
     std::unique_ptr<proto::MemorySpace> memory;
     std::unique_ptr<sim::Cpu> app_cpu;
     std::unique_ptr<sim::Cpu> proto_cpu;
-    std::vector<std::unique_ptr<driver::SimNetDriver>> drivers;
     std::unique_ptr<proto::Engine> engine;
     std::unique_ptr<Endpoint> endpoint;
     sim::Time proto_app_time_window0 = 0;

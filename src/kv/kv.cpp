@@ -124,41 +124,10 @@ std::uint64_t record_checksum(std::uint64_t seq, std::uint32_t key_len,
   return h;
 }
 
-/// Sleep without occupying the app core. All fibers of a node share ONE
-/// core; an idle poll loop modeled as compute() would monopolize it and
-/// starve the fibers doing real work. A blocked/parked thread burns no CPU.
-void idle_wait(sim::Time t) { sim::Process::current()->delay(t); }
-
 std::uint32_t bucket_of(std::uint64_t key_hash, const KvConfig& cfg) {
   // Re-mix so the bucket index is independent of the ring's partition cut.
   return static_cast<std::uint32_t>(mix64(key_hash) %
                                     cfg.buckets_per_partition);
-}
-
-/// Poll an operation handle to completion with a deadline; the calling
-/// fiber burns `poll` of app CPU per probe. Returns false on timeout (the
-/// operation stays outstanding — callers rotate buffers instead of reusing
-/// the landing area).
-bool wait_op(Endpoint& ep, const OpHandle& h, sim::Time timeout,
-             sim::Time poll) {
-  const sim::Time deadline = ep.cluster().sim().now() + timeout;
-  while (!h.test()) {
-    if (ep.cluster().sim().now() >= deadline) return false;
-    idle_wait(poll);
-  }
-  return true;
-}
-
-/// ClientOpRef variant: terminal also covers broker rejection (the caller
-/// checks rejected() after a successful wait).
-bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout,
-              sim::Time poll) {
-  const sim::Time deadline = ep.cluster().sim().now() + timeout;
-  while (!r.test()) {
-    if (ep.cluster().sim().now() >= deadline) return false;
-    idle_wait(poll);
-  }
-  return true;
 }
 
 /// Root span for one client operation (kKvOp). Alive across the whole retry
@@ -320,39 +289,43 @@ Server::Server(System& sys, int node)
 
 void Server::serve(Endpoint& ep) {
   const KvConfig& cfg = sys_.config();
-  while (!sys_.stopped()) {
-    bool did = false;
-    // Poll only while holding the node lock: a fiber blocked on the lock
+  const proto::Engine& eng = ep.engine();
+  // Sleep until a replication message, a request or a late ack hint is
+  // queued (or the system stops).
+  auto work = [&] {
+    return sys_.stopped() || eng.has_notification(cfg.repl_tag) ||
+           eng.has_notification(cfg.req_tag) ||
+           eng.has_notification(cfg.ack_tag);
+  };
+  while (ep.wait_until(work) && !sys_.stopped()) {
+    // Consume only while holding the node lock: a fiber blocked on the lock
     // must never be able to steal notifications from the holder (the holder
-    // services replication traffic itself while waiting for acks).
-    if (lock_.try_lock()) {
-      Notification n;
-      rma::NotifyEvent ev;
-      // Late ack hints (a backup acking after the detector made the primary
-      // abandon it) are consumed here so they never pile up; the ack words
-      // they announce were already applied by the data frames.
-      while (ack_win_.test_notify(&ev)) {
-      }
-      if (repl_win_.test_notify(&ev)) {
-        handle_repl(ep, ev);
-        did = true;
-      } else if (ep.poll_notification(&n, cfg.req_tag)) {
-        handle_request(ep, n);
-        did = true;
-        // Burst drain (server_burst > 1): handle whatever requests are
-        // already queued back-to-back — their responses are ring-batched —
-        // then push the whole burst out with one doorbell. With the default
-        // burst of 1 this degenerates to exactly the original shape.
-        for (int i = 1;
-             i < cfg.server_burst && ep.poll_notification(&n, cfg.req_tag);
-             ++i) {
-          handle_request(ep, n);
-        }
-        if (cfg.server_burst > 1) ep.flush();
-      }
-      lock_.unlock();
+    // services replication traffic itself while waiting for acks). If the
+    // holder consumed the work meanwhile, the next wait simply sleeps.
+    lock_.lock();
+    Notification n;
+    rma::NotifyEvent ev;
+    // Late ack hints (a backup acking after the detector made the primary
+    // abandon it) are consumed here so they never pile up; the ack words
+    // they announce were already applied by the data frames.
+    while (ack_win_.test_notify(&ev)) {
     }
-    if (!did) idle_wait(cfg.server_poll);
+    if (repl_win_.test_notify(&ev)) {
+      handle_repl(ep, ev);
+    } else if (ep.poll_notification(&n, cfg.req_tag)) {
+      handle_request(ep, n);
+      // Burst drain (server_burst > 1): handle whatever requests are
+      // already queued back-to-back — their responses are ring-batched —
+      // then push the whole burst out with one doorbell. With the default
+      // burst of 1 this degenerates to exactly the original shape.
+      for (int i = 1;
+           i < cfg.server_burst && ep.poll_notification(&n, cfg.req_tag);
+           ++i) {
+        handle_request(ep, n);
+      }
+      if (cfg.server_burst > 1) ep.flush();
+    }
+    lock_.unlock();
   }
 }
 
@@ -587,14 +560,10 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
   // Wait for every live backup's ack (its per-primary ack word reaching this
   // generation). While waiting, keep servicing INCOMING replication traffic —
   // two primaries replicating to each other would otherwise deadlock. There
-  // is no ack timeout: a backup either acks or gets marked down.
+  // is no ack timeout: a backup either acks or gets marked down (a Dead mark
+  // wakes this wait like an arriving ack does).
   std::vector<char> acked(targets.size(), 0);
-  for (;;) {
-    rma::NotifyEvent ev;
-    while (repl_win_.test_notify(&ev)) handle_repl(ep, ev);
-    // Drain ack hints; the generation words checked below are authoritative.
-    while (ack_win_.test_notify(&ev)) {
-    }
+  auto settled = [&] {
     bool all = true;
     for (std::size_t i = 0; i < targets.size(); ++i) {
       if (acked[i]) continue;
@@ -608,10 +577,21 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
         all = false;
       }
     }
-    if (all) {
-      return;
+    return all;
+  };
+  const proto::Engine& eng = ep.engine();
+  for (;;) {
+    rma::NotifyEvent ev;
+    while (repl_win_.test_notify(&ev)) handle_repl(ep, ev);
+    // Drain ack hints; the generation words checked by settled() are
+    // authoritative.
+    while (ack_win_.test_notify(&ev)) {
     }
-    idle_wait(cfg.server_poll);
+    if (settled()) return;
+    ep.wait_until([&] {
+      return settled() || eng.has_notification(cfg.repl_tag) ||
+             eng.has_notification(cfg.ack_tag);
+    });
   }
 }
 
@@ -825,7 +805,7 @@ Status Client::del(std::string_view key) {
   return st;
 }
 
-void Client::pause(sim::Time t) { idle_wait(t); }
+void Client::pause(sim::Time t) { sim::Process::current()->delay(t); }
 
 Status Client::shed(const ClientOpRef& r) {
   last_retry_after_ = r.retry_after();
@@ -853,7 +833,7 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
           ep_, op, key, value, seq, node_, cslot_, &local);
       if (st == Status::kWrongPrimary) {
         counters_.add(kCtrWrongPrimary);
-        idle_wait(cfg.heartbeat_period);  // let the detectors converge
+        pause(cfg.heartbeat_period);  // let the detectors converge
         continue;
       }
       if (out) *out = std::move(local);
@@ -895,8 +875,8 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
       // hint rides along (last_retry_after()).
       return shed(req);
     }
-    // The poll loop below never auto-flushes; brokered ops are flushed by
-    // the broker's dispatcher instead.
+    // The wait below never auto-flushes; brokered ops are flushed by the
+    // broker's dispatcher instead.
     if (batch && tenant_ == nullptr) ep_.flush();
     counters_.add(kCtrRpcSent);
 
@@ -905,7 +885,9 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
     const sim::Time deadline = sys_.cluster().sim().now() + cfg.rpc_timeout;
     bool got = false, wrong_primary = false;
     Status st = Status::kUnavailable;
-    while (sys_.cluster().sim().now() < deadline && !got) {
+    while (!got && ep_.wait_until(
+                       [&] { return ep_.engine().has_notification(resp_tag); },
+                       deadline)) {
       Notification n;
       while (ep_.poll_notification(&n, resp_tag)) {
         const auto* rh = mem.as<RespHeader>(n.va);
@@ -924,12 +906,11 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         got = true;
         break;
       }
-      if (!got) idle_wait(cfg.client_poll);
     }
     if (got && !wrong_primary) return st;
     if (wrong_primary) {
       counters_.add(kCtrWrongPrimary);
-      idle_wait(cfg.heartbeat_period);
+      pause(cfg.heartbeat_period);
     } else {
       counters_.add(kCtrRpcTimeouts);  // re-resolve (maybe re-route) + resend
     }
@@ -965,7 +946,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
           ep_, kOpGet, key, {}, ++seq_, node_, cslot_, &local);
       if (st == Status::kWrongPrimary) {
         counters_.add(kCtrWrongPrimary);
-        idle_wait(cfg.heartbeat_period);
+        pause(cfg.heartbeat_period);
         continue;
       }
       counters_.add(kCtrGetLocal);
@@ -983,7 +964,8 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       return shed(h);
     }
     get_pending_[set] = h;
-    if (!wait_ref(ep_, h, cfg.get_timeout, cfg.client_poll)) {
+    if (!ep_.wait_until([&] { return h.test(); },
+                        sys_.cluster().sim().now() + cfg.get_timeout)) {
       counters_.add(kCtrGetTimeouts);
       continue;  // re-resolve: the primary may be on its way down
     }
@@ -1021,7 +1003,8 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       return shed(g);
     }
     get_pending_[set] = g;
-    if (!wait_ref(ep_, g, cfg.get_timeout, cfg.client_poll)) {
+    if (!ep_.wait_until([&] { return g.test(); },
+                        sys_.cluster().sim().now() + cfg.get_timeout)) {
       counters_.add(kCtrGetTimeouts);
       continue;
     }
@@ -1032,22 +1015,26 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
                                         mem.as<std::byte>(buf + entry_pad),
                                         key, out);
     if (st != Status::kWrongPrimary) return st;  // kWrongPrimary = torn here
+    // Re-read at once: the next read's round trip is the backoff.
     counters_.add(kCtrGetTorn);
-    idle_wait(cfg.client_poll);  // brief backoff before re-reading
   }
   return Status::kUnavailable;
 }
 
 int Client::acquire_get_buf() {
-  for (;;) {
+  auto free_set = [&] {
     for (int set = 0; set < KvDomain::kGetBufSets; ++set) {
       if (!get_pending_[set].valid() || get_pending_[set].test()) return set;
     }
+    return -1;
+  };
+  if (free_set() < 0) {
     // Every set has a timed-out read still outstanding; the protocol is
     // reliable, so one of them will complete.
     counters_.add(kCtrGetBufStalls);
-    idle_wait(sys_.config().client_poll);
+    ep_.wait_until([&] { return free_set() >= 0; });
   }
+  return free_set();
 }
 
 Status Client::validate_snapshot(const std::byte* bucket,
@@ -1125,6 +1112,15 @@ System::System(Cluster& cluster, KvConfig cfg, member::Service* membership)
     cluster_.spawn(i, "kv-serve-" + std::to_string(i), [this](Endpoint& ep) {
       nodes_[ep.node_id()]->server->serve(ep);
     });
+  }
+}
+
+void System::stop() {
+  stop_ = true;
+  if (owned_member_) owned_member_->stop();
+  if (broker_) broker_->stop();
+  for (int i = 0; i < cluster_.num_nodes(); ++i) {
+    cluster_.endpoint(i).notify_waiters();  // the serve loops exit
   }
 }
 

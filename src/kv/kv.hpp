@@ -124,8 +124,6 @@ struct KvConfig {
   sim::Time heartbeat_period = sim::us(100);
   /// Unrefuted-suspicion maturity -> Dead (the membership suspect_timeout).
   sim::Time failure_timeout = sim::ms(2);
-  sim::Time server_poll = sim::us(1);       // server/ack poll granularity
-  sim::Time client_poll = sim::ns(500);     // client response poll granularity
   sim::Time rpc_timeout = sim::us(800);     // resend/reroute a PUT/DELETE
   sim::Time get_timeout = sim::us(800);     // abandon a one-sided read
   int max_attempts = 64;                    // per-op retry budget
@@ -246,11 +244,6 @@ class FiberLock {
     while (held_) q_.wait();
     held_ = true;
   }
-  bool try_lock() {
-    if (held_) return false;
-    held_ = true;
-    return true;
-  }
   void unlock() {
     held_ = false;
     q_.notify_one();
@@ -269,7 +262,7 @@ class Server {
  public:
   Server(System& sys, int node);
 
-  /// Poll loop: handles request and replication RPCs until System::stop().
+  /// Serve loop: handles request and replication RPCs until System::stop().
   void serve(Endpoint& ep);
 
   /// Local fast path for a co-located client (primary == own node): same
@@ -446,11 +439,7 @@ class System {
   void spawn_client(int node, std::string name,
                     std::function<void(Client&)> body);
 
-  void stop() {
-    stop_ = true;
-    if (owned_member_) owned_member_->stop();
-    if (broker_) broker_->stop();
-  }
+  void stop();
   bool stopped() const { return stop_; }
 
   /// All KV-level counters (servers, clients) merged.

@@ -83,11 +83,6 @@ struct UpdateEntry {
 };
 static_assert(sizeof(UpdateEntry) == 16);
 
-/// Sleep without occupying the app core (same rationale as the KV layer:
-/// a blocked fiber burns no CPU; a compute() poll loop would starve the
-/// node's real work).
-void idle_wait(sim::Time t) { sim::Process::current()->delay(t); }
-
 /// Close out one probe round's span (kMemberProbe): a = probed peer,
 /// b = 1 when the round ended with an ack, 0 when it matured into suspicion.
 void record_probe_span(trace::TraceRecorder* tr, sim::Time now, int self,
@@ -161,8 +156,7 @@ Service::Service(Cluster& cluster, MemberConfig cfg)
   for (int i = 0; i < num_nodes_; ++i) {
     auto ctx = std::make_unique<NodeCtx>(
         i, num_nodes_, cfg_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    ctx->conns.assign(num_nodes_, nullptr);
-    ctx->connect_started.assign(num_nodes_, 0);
+    ctx->connect_started.assign(num_nodes_, -1);
     ctx->next_inbox_slot.assign(num_nodes_, 0);
     ctx->suspect_since.assign(num_nodes_, 0);
     if (cfg_.mesh) {
@@ -218,6 +212,11 @@ Service::Service(Cluster& cluster, MemberConfig cfg)
   });
 }
 
+void Service::stop() {
+  stop_ = true;
+  for (int i = 0; i < num_nodes_; ++i) cluster_.endpoint(i).notify_waiters();
+}
+
 stats::Counters Service::aggregate_counters() const {
   stats::Counters all;
   for (const auto& ctx : nodes_) all.merge(ctx->counters);
@@ -230,19 +229,18 @@ stats::Counters Service::aggregate_counters() const {
 
 proto::Connection* Service::conn_or_null(NodeCtx& ctx, Endpoint& ep,
                                          int peer) {
-  proto::Connection*& c = ctx.conns[peer];
-  if (c && c->state() == proto::ConnState::kEstablished) return c;
-  // Any established connection works; prefer one the peer already opened
-  // toward us (the common case for acks: the ping arrived on it).
-  if (proto::Connection* r = ep.engine().responder_for(peer)) return r;
-  if (!c) {
+  // Any established connection to the peer carries membership traffic,
+  // whichever layer opened it and in whichever direction — in particular
+  // the one a ping arrived on, so the ack can always go back.
+  if (proto::Connection* c = ep.engine().established_to(peer)) return c;
+  if (ctx.connect_started[peer] < 0) {
     // Non-blocking connect: Endpoint::connect would park this fiber forever
     // on a crashed peer, which is exactly the case a failure detector must
-    // survive. The engine keeps retrying SYNs; we just poll state().
-    c = ep.engine().connect(peer);
+    // survive. The engine keeps retrying SYNs until the peer answers.
+    ep.engine().connect(peer);
     ctx.connect_started[peer] = cluster_.sim().now();
   }
-  return c->state() == proto::ConnState::kEstablished ? c : nullptr;
+  return nullptr;
 }
 
 void Service::send_msg(NodeCtx& ctx, Endpoint& ep, int dst, std::uint8_t type,
@@ -376,6 +374,9 @@ void Service::transition(NodeCtx& ctx, int peer, PeerState st) {
   if (st == PeerState::kDead && !v.down_[peer]) {
     v.down_[peer] = true;
     ++v.num_down_;
+    // Fail-fast waiters on this node (coll, the kv replication-ack wait)
+    // re-check their predicates.
+    cluster_.endpoint(v.self()).notify_waiters();
   }
   const sim::Time now = cluster_.sim().now();
   for (const auto& fn : on_transition_) fn(v.self(), peer, st, now);
@@ -416,6 +417,10 @@ void Service::apply_update(NodeCtx& ctx, int node, PeerState st,
       ctx.counters.add(kCtrRefutes);
     } else if (st == PeerState::kDead) {
       ctx.counters.add(kCtrSelfDeclaredDead);
+      if (!v.declared_dead_) {
+        v.declared_dead_ = true;
+        cluster_.endpoint(self).notify_waiters();  // wake fail-fast ranks
+      }
     }
     return;
   }
@@ -519,7 +524,7 @@ void Service::start_probe(NodeCtx& ctx, Endpoint& ep) {
   }
   if (!conn_or_null(ctx, ep, target)) {
     const sim::Time started = ctx.connect_started[target];
-    if (started != 0 &&
+    if (started >= 0 &&
         cluster_.sim().now() - started > cfg_.suspect_timeout) {
       // The handshake itself cannot complete — the peer (or its links) is
       // gone. Treat like a failed probe and move on to the next target.
@@ -602,18 +607,23 @@ void Service::advance_probe(NodeCtx& ctx, Endpoint& ep) {
                ctx.view.incarnation(target));
 }
 
-void Service::check_suspects(NodeCtx& ctx) {
-  if (ctx.num_suspects == 0) return;
+sim::Time Service::check_suspects(NodeCtx& ctx) {
+  sim::Time next = sim::kTimeInfinity;
+  if (ctx.num_suspects == 0) return next;
   const sim::Time now = cluster_.sim().now();
   for (int p = 0; p < num_nodes_; ++p) {
     if (ctx.suspect_since[p] == 0 ||
         ctx.view.state(p) != PeerState::kSuspect) {
       continue;
     }
-    if (now - ctx.suspect_since[p] > cfg_.suspect_timeout) {
+    const sim::Time due = ctx.suspect_since[p] + cfg_.suspect_timeout;
+    if (now >= due) {
       apply_update(ctx, p, PeerState::kDead, ctx.view.incarnation(p));
+    } else {
+      next = std::min(next, due);
     }
   }
+  return next;
 }
 
 // ---------------------------------------------------------------------------
@@ -636,8 +646,13 @@ void Service::fiber(Endpoint& ep) {
       next_round = cluster_.sim().now() + cfg_.period;
       start_probe(ctx, ep);
     }
-    check_suspects(ctx);
-    idle_wait(cfg_.poll);
+    // Sleep until a message arrives or the next timed step is due: the next
+    // probe round, the running probe's deadline, or a suspicion maturing.
+    sim::Time wake_at = std::min(next_round, check_suspects(ctx));
+    if (ctx.probe.target >= 0) wake_at = std::min(wake_at, ctx.probe.deadline);
+    ep.wait_until(
+        [&] { return stop_ || ep.engine().has_notification(cfg_.tag); },
+        wake_at);
   }
 }
 
@@ -658,7 +673,7 @@ void Service::mesh_fiber(Endpoint& ep) {
                                      kOpFlagUrgent);
       ctx.counters.add(kCtrProbeMsgs);
     }
-    idle_wait(cfg_.period);
+    sim::Process::current()->delay(cfg_.period);
     const sim::Time now = cluster_.sim().now();
     for (int peer = 0; peer < num_nodes_; ++peer) {
       if (peer == me || ctx.view.is_down(peer)) continue;

@@ -71,9 +71,6 @@ struct MemberConfig {
   /// A peer whose frames (any protocol traffic) arrived within this window
   /// is implicitly alive; its probe is suppressed. 0 disables suppression.
   sim::Time suppress_window = sim::us(400);
-  /// Notification-poll granularity of the member fiber. Bounds ack latency,
-  /// so keep it well under ping_timeout.
-  sim::Time poll = sim::us(25);
   std::uint8_t tag = kMemberTag;
   std::uint64_t seed = 0x51f7eedull;
   /// Inbox ring slots per source node (tolerates this many unconsumed
@@ -111,6 +108,10 @@ class View {
   bool is_down(int peer) const { return down_[peer]; }
   const std::vector<bool>& down_map() const { return down_; }
   int num_down() const { return num_down_; }
+  /// True once this node learns that the rest of the cluster declared it
+  /// Dead (sticky). Fail-fast collectives abort on it; the view's own
+  /// routing (is_down, down_map) is unaffected.
+  bool declared_dead() const { return declared_dead_; }
   int self() const { return self_; }
 
  private:
@@ -120,6 +121,7 @@ class View {
   std::vector<std::uint64_t> incarnation_;
   std::vector<bool> down_;
   int num_down_ = 0;
+  bool declared_dead_ = false;
 };
 
 /// Cluster-wide membership service: allocates the symmetric inbox domain and
@@ -136,7 +138,8 @@ class Service {
   View& view(int node) { return nodes_[node]->view; }
   const View& view(int node) const { return nodes_[node]->view; }
 
-  void stop() { stop_ = true; }
+  /// Stop the service fibers (each wakes and exits at once).
+  void stop();
   bool stopped() const { return stop_; }
 
   /// Observer hook, fired on EVERY state transition in any node's view:
@@ -177,7 +180,8 @@ class Service {
   void enqueue_gossip(NodeCtx& ctx, int node);
   void mark_peer_alive(NodeCtx& ctx, int peer);
   int next_probe_target(NodeCtx& ctx);
-  void check_suspects(NodeCtx& ctx);
+  /// Marks matured suspicions Dead; returns when the next one matures.
+  sim::Time check_suspects(NodeCtx& ctx);
 
   Cluster& cluster_;
   MemberConfig cfg_;
@@ -221,8 +225,7 @@ class Service {
     View view;
     sim::Rng rng;
     Endpoint* ep = nullptr;  // set by fiber(); carrier for eager gossip
-    std::vector<proto::Connection*> conns;  // lazily initiated, by peer
-    std::vector<sim::Time> connect_started;  // first connect() attempt, by peer
+    std::vector<sim::Time> connect_started;  // own connect() attempt, -1 = none
     std::vector<int> next_inbox_slot;       // outbound ring cursor, by peer
     std::vector<int> probe_order;           // shuffled round-robin schedule
     std::size_t probe_pos = 0;

@@ -427,7 +427,7 @@ std::size_t Connection::pick_link() {
     case StripingPolicy::kShortestQueue: {
       std::size_t best = 0;
       for (std::size_t i = 1; i < links_.size(); ++i) {
-        if (links_[i].drv->tx_space() > links_[best].drv->tx_space()) best = i;
+        if (links_[i].nic->tx_space() > links_[best].nic->tx_space()) best = i;
       }
       return best;
     }
@@ -442,10 +442,10 @@ bool Connection::transmit_on_some_link(const net::MutFramePtr& frame,
   for (std::size_t i = 0; i < links_.size(); ++i) {
     const std::size_t li = (start + i) % links_.size();
     Link& link = links_[li];
-    frame->src = link.drv->mac();
+    frame->src = link.nic->mac();
     frame->dst = link.peer_mac;
     patch_ack(frame->payload, rcv_nxt_);
-    if (link.drv->transmit(frame)) {
+    if (link.nic->tx(frame)) {
       rr_next_link_ = (li + 1) % links_.size();
       cpu.charge(engine_.costs().tx_frame_cost);
       if (retx) {
@@ -587,6 +587,7 @@ void Connection::complete_acked_ops(sim::Cpu& cpu) {
                      op->ctx, op->parent_span);
     }
     op->waiters.notify_all();
+    engine_.notify_events().notify_all();
     if (op->on_complete) op->on_complete();
   }
   // The (new) front op may be partially acknowledged: update its progress.
@@ -817,9 +818,9 @@ void Connection::send_explicit_ack(sim::Cpu& cpu, bool force_nacks) {
   bool sent = false;
   for (std::size_t i = 0; i < links_.size() && !sent; ++i) {
     const std::size_t li = (start + i) % links_.size();
-    frame->src = links_[li].drv->mac();
+    frame->src = links_[li].nic->mac();
     frame->dst = links_[li].peer_mac;
-    if (links_[li].drv->transmit(frame)) {
+    if (links_[li].nic->tx(frame)) {
       rr_next_link_ = (li + 1) % links_.size();
       cpu.charge(engine_.costs().tx_frame_cost);
       sent = true;
@@ -1036,6 +1037,7 @@ void Connection::maybe_complete(RecvOp& op, sim::Cpu& cpu) {
                        rop->ctx, rop->parent_span);
       }
       rop->waiters.notify_all();
+      engine_.notify_events().notify_all();
       if (rop->on_complete) rop->on_complete();
     }
   } else if (op.flags & kOpFlagNotify) {

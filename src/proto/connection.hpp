@@ -29,7 +29,7 @@
 #include <span>
 #include <vector>
 
-#include "driver/net_driver.hpp"
+#include "net/nic.hpp"
 #include "proto/config.hpp"
 #include "proto/seq_ring.hpp"
 #include "proto/types.hpp"
@@ -50,10 +50,10 @@ enum class ConnState : std::uint8_t {
 
 class Connection {
  public:
-  /// One physical path of the connection: a local NIC (via its driver) and
-  /// the peer's MAC address on the same rail.
+  /// One physical path of the connection: a local NIC and the peer's MAC
+  /// address on the same rail.
   struct Link {
-    driver::NetDriver* drv = nullptr;
+    net::Nic* nic = nullptr;
     net::MacAddr peer_mac;
   };
 

@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "driver/net_driver.hpp"
+#include "net/nic.hpp"
 #include "proto/config.hpp"
 #include "proto/connection.hpp"
 #include "proto/invariants.hpp"
@@ -41,8 +41,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Attach the NIC driver for rail `r` (call once per rail, in rail order).
-  void add_rail(driver::NetDriver* drv);
+  /// Attach the NIC of the next rail (call once per rail, in rail order).
+  /// The engine drives it directly, as the paper's thin driver layer does.
+  void add_rail(net::Nic* nic);
 
   /// MAC directory: mac_table[node][rail]. Needed to address peers.
   void set_mac_table(std::vector<std::vector<net::MacAddr>> table);
@@ -55,6 +56,14 @@ class Engine {
 
   /// The established responder-side connection initiated by `peer`, if any.
   Connection* responder_for(int peer);
+
+  /// The first connection to `peer` that reached kEstablished, in either
+  /// direction and whichever layer opened it; nullptr if none has yet.
+  Connection* established_to(int peer) const {
+    return peer >= 0 && static_cast<std::size_t>(peer) < established_.size()
+               ? established_[peer]
+               : nullptr;
+  }
 
   /// Notified whenever any connection reaches kEstablished.
   sim::WaitQueue& conn_events() { return conn_events_; }
@@ -86,6 +95,8 @@ class Engine {
   bool has_notification_match(int tag, int src, std::uint64_t va) const;
   bool pop_notification_match(int tag, int src, std::uint64_t va,
                               Notification* out);
+  /// Notified on every notification delivery and operation completion;
+  /// the queue Endpoint::wait_until blocks on.
   sim::WaitQueue& notify_events() { return notify_events_; }
 
   // --- infrastructure used by Connection ---
@@ -146,7 +157,7 @@ class Engine {
   stats::Counters& counters() { return counters_; }
   /// Sum of all connections' counters plus the engine's own.
   stats::Counters aggregate_counters() const;
-  const std::vector<driver::NetDriver*>& rails() const { return rails_; }
+  const std::vector<net::Nic*>& rails() const { return rails_; }
   const std::vector<std::unique_ptr<Connection>>& connections() const {
     return conns_;
   }
@@ -170,6 +181,7 @@ class Engine {
   void flush_backlog();
   void flush_notifications(sim::Cpu& cpu);
   void note_rx_from(int peer);
+  void note_established(Connection* conn);
 
   Connection* find_conn(std::uint32_t local_id);
   Connection* make_connection(int peer, bool is_initiator);
@@ -187,7 +199,7 @@ class Engine {
   HostCostModel costs_;
   sim::Rng rng_;
 
-  std::vector<driver::NetDriver*> rails_;
+  std::vector<net::Nic*> rails_;
   std::vector<std::vector<net::MacAddr>> mac_table_;
 
   std::vector<std::unique_ptr<Connection>> conns_;
@@ -197,6 +209,7 @@ class Engine {
   std::map<std::pair<int, std::uint32_t>, Connection*> responder_index_;
   std::map<std::uint32_t, PendingConnect> pending_connects_;
   std::uint32_t next_conn_id_ = 1;
+  std::vector<Connection*> established_;  // per peer node, grown on demand
   sim::WaitQueue conn_events_;
 
   std::deque<Notification> notifications_;

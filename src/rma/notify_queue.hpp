@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 
 #include "core/api.hpp"
 #include "stats/counters.hpp"
@@ -67,10 +68,21 @@ class NotifyQueue {
   /// Block the calling fiber until a matching notified access arrives.
   /// Consumes this tag's notifications in arrival order; mismatches are
   /// stashed for later matches (they are someone else's, on this queue).
-  NotifyEvent wait(int src = kAnySrc, std::uint64_t va = kAnyVa) {
+  /// `abort`, if set, runs before every block on an empty queue and may
+  /// throw to abandon the wait. Without it the wait is exactly the plain
+  /// wait_notification loop.
+  NotifyEvent wait(int src = kAnySrc, std::uint64_t va = kAnyVa,
+                   const std::function<void()>& abort = {}) {
     NotifyEvent ev;
     if (take_stashed(&ev, src, va)) return ev;
     for (;;) {
+      if (abort) {
+        ep_.wait_until([&] {
+          const bool queued = ep_.engine().has_notification(tag_);
+          if (!queued) abort();
+          return queued;
+        });
+      }
       Notification n = ep_.wait_notification(tag_);
       if (matches(n, src, va)) {
         counters_.add(ctr_matched_);

@@ -152,8 +152,9 @@ std::uint64_t Window::token_va(int src) const {
   return tok_base_ + std::uint64_t{8} * static_cast<std::uint64_t>(src);
 }
 
-NotifyEvent Window::wait_notify(int src, std::uint64_t va) {
-  return nq_.wait(src, va);
+NotifyEvent Window::wait_notify(int src, std::uint64_t va,
+                                const std::function<void()>& abort) {
+  return nq_.wait(src, va, abort);
 }
 
 bool Window::test_notify(NotifyEvent* out, int src, std::uint64_t va) {

@@ -117,8 +117,10 @@ class Window {
                       std::uint64_t remote_va, std::uint32_t bytes);
 
   /// Receive side: block for / probe for a matching notified access.
-  /// src = kAnySrc and va = kAnyVa widen the match (see notify_queue.hpp).
-  NotifyEvent wait_notify(int src = kAnySrc, std::uint64_t va = kAnyVa);
+  /// src = kAnySrc and va = kAnyVa widen the match; `abort` may throw to
+  /// abandon the wait (see NotifyQueue::wait).
+  NotifyEvent wait_notify(int src = kAnySrc, std::uint64_t va = kAnyVa,
+                          const std::function<void()>& abort = {});
   bool test_notify(NotifyEvent* out, int src = kAnySrc,
                    std::uint64_t va = kAnyVa);
 

@@ -43,15 +43,26 @@ void Process::delay(Time d) {
   Fiber::yield();
 }
 
-void Process::suspend() {
+bool Process::suspend(Time deadline) {
   assert(current_ == this && "suspend() called outside the process fiber");
   state_ = State::kSuspended;
-  ++block_gen_;
+  const std::uint64_t gen = ++block_gen_;
+  timed_out_ = false;
+  if (deadline != kTimeInfinity) {
+    timeout_ = sim_.at_cancellable(deadline, [this, gen] {
+      if (gen != block_gen_ || state_ != State::kSuspended) return;
+      timed_out_ = true;
+      state_ = State::kReady;
+      run_slice();
+    });
+  }
   Fiber::yield();
+  return !timed_out_;
 }
 
 void Process::wake() {
   if (state_ != State::kSuspended) return;
+  sim_.cancel(timeout_);  // stale or default ids are ignored
   state_ = State::kReady;
   const std::uint64_t gen = ++block_gen_;
   sim_.in(0, [this, gen] {

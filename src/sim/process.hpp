@@ -1,9 +1,9 @@
 // A Process is a fiber scheduled by the Simulator.
 //
 // Inside the fiber, a process can sleep for simulated time (delay), block
-// until an external wake (suspend/wake), and compose with WaitQueue and Cpu
-// for higher-level blocking. Outside code interacts with it only through
-// start()/wake()/done().
+// until an external wake or an optional deadline (suspend/wake), and compose
+// with WaitQueue and Cpu for higher-level blocking. Outside code interacts
+// with it only through start()/wake()/done().
 #pragma once
 
 #include <cassert>
@@ -24,6 +24,7 @@ class Process {
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
+  ~Process() { sim_.cancel(timeout_); }  // a pending deadline captures this
 
   /// Schedule the first run at the current simulated time.
   void start();
@@ -33,8 +34,13 @@ class Process {
   /// Sleep for `d` of simulated time. Not interruptible by wake().
   void delay(Time d);
 
-  /// Block until some other code calls wake().
-  void suspend();
+  /// Block until some other code calls wake(), or until the absolute time
+  /// `deadline`, whichever comes first: a delay() that can also be woken.
+  /// Returns false on timeout. A wake cancels the pending timeout event, so
+  /// an early wake leaves nothing behind in the event queue. A wake and a
+  /// timeout at the same instant resolve in event order: whichever event was
+  /// scheduled first wins, and the other becomes a no-op.
+  bool suspend(Time deadline = kTimeInfinity);
 
   /// --- Calls valid only from outside the fiber. ---
 
@@ -70,6 +76,8 @@ class Process {
   Fiber fiber_;
   State state_ = State::kCreated;
   std::uint64_t block_gen_ = 0;  // invalidates stale resume events
+  Simulator::EventId timeout_;   // pending suspend() deadline, if any
+  bool timed_out_ = false;
 
   inline static Process* current_ = nullptr;
 };

@@ -22,6 +22,10 @@ class WaitQueue {
   /// Enqueue the current process and suspend it. Must run inside a fiber.
   void wait();
 
+  /// wait() with an absolute deadline: returns false if `deadline` passed
+  /// before a notify (the process is then no longer queued).
+  bool wait_until(Time deadline);
+
   /// Wake the oldest waiter, if any.
   void notify_one();
 

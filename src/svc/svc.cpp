@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "proto/wire.hpp"
-#include "sim/process.hpp"
 #include "trace/trace.hpp"
 
 namespace multiedge::svc {
@@ -34,8 +33,6 @@ const stats::CounterId kCtrRailThrottled =
     stats::CounterRegistry::intern("svc_rail_throttled");
 const stats::CounterId kCtrStopRejected =
     stats::CounterRegistry::intern("svc_rejected_at_stop");
-
-void idle_wait(sim::Time t) { sim::Process::current()->delay(t); }
 
 }  // namespace
 
@@ -103,6 +100,9 @@ Broker::Broker(Cluster& cluster, BrokerConfig cfg)
   if (cfg_.conns_per_peer < 1) {
     throw std::invalid_argument("svc: conns_per_peer must be >= 1");
   }
+  if (cfg_.drr_quantum_bytes < 1) {
+    throw std::invalid_argument("svc: drr_quantum_bytes must be >= 1");
+  }
   credits_per_conn_ =
       cfg_.credits_per_conn != 0
           ? cfg_.credits_per_conn
@@ -160,6 +160,22 @@ void Broker::stop() {
       pool.queued = 0;
     }
   }
+  // Wake the dispatchers and every waiter on a just-rejected op.
+  for (int i = 0; i < cluster_.num_nodes(); ++i) {
+    cluster_.endpoint(i).notify_waiters();
+  }
+}
+
+sim::Time Broker::visit_cost() const {
+  const proto::HostCostModel& c = cluster_.config().costs;
+  return c.syscall_cost + c.op_build_cost;
+}
+
+bool Broker::fits(const Slot& slot, const SvcOp& op,
+                  std::uint32_t limit) const {
+  // A slot with nothing in flight always takes the head op: a rail-shrunk
+  // limit below one op's cost would otherwise strand it for good.
+  return slot.credits_used == 0 || slot.credits_used + credit_cost(op) <= limit;
 }
 
 std::uint32_t Broker::credit_cost(const SvcOp& op) const {
@@ -204,10 +220,7 @@ Broker::Slot& Broker::slot_for(Endpoint& ep, NodeState& ns, int peer,
   return s;
 }
 
-void Broker::dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
-                      int slot_idx, const SvcOpPtr& op) {
-  (void)ep;
-  (void)pool;
+void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   op->credit_frames = credit_cost(*op);
   slot.credits_used += op->credit_frames;
   // The proto op adopts the svc span as its parent; the svc span itself was
@@ -238,6 +251,7 @@ void Broker::dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
   // here would create a shared_ptr cycle). `slot` and the tenant have stable
   // addresses for the broker's lifetime.
   Cluster* cluster = &cluster_;
+  std::uint64_t* changes = &ns.changes;
   const int node = op->tenant->node();
   const int tenant_id = op->tenant->id();
   Slot* slot_p = &slot;
@@ -247,10 +261,12 @@ void Broker::dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
   const sim::Time submitted_at = op->submitted_at;
   const trace::SpanContext ctx = op->ctx;
   const std::uint64_t parent_span = op->parent_span;
-  (void)slot_idx;
-  h.on_complete([cluster, node, tenant_id, slot_p, frames, bytes, kind,
-                 submitted_at, ctx, parent_span]() {
+  // The completion that runs this hook also wakes the node's waiters, the
+  // dispatcher among them; bumping `changes` tells it the credits moved.
+  h.on_complete([cluster, changes, node, tenant_id, slot_p, frames, bytes,
+                 kind, submitted_at, ctx, parent_span]() {
     slot_p->credits_used -= std::min(slot_p->credits_used, frames);
+    ++*changes;
     trace::TraceRecorder* tr = cluster->tracer();
     if (tr != nullptr && ctx.active()) {
       const sim::Time now = cluster->sim().now();
@@ -284,18 +300,18 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
   }
   // Admission control: reject instead of queueing beyond the bounds. The
   // rejection carries a retry-after hint sized to the backlog that bounced
-  // the op: each queued op costs at least one dispatcher visit, and an idle
-  // dispatcher ticks every dispatch_poll, so depth x poll approximates the
-  // time for the queue to drain back under its bound.
+  // the op: each queued op costs the dispatcher at least one visit, so
+  // depth x visit cost is a lower bound on the time for the queue to drain
+  // back under its bound.
   if (t.queued_ >= cfg_.tenant_queue_limit) {
     op->state = SvcOp::State::kRejected;
-    op->retry_after = cfg_.dispatch_poll * static_cast<sim::Time>(t.queued_);
+    op->retry_after = visit_cost() * static_cast<sim::Time>(t.queued_);
     t.counters_.add(kCtrRejectedTenant);
     return op;
   }
   if (pool.queued >= cfg_.peer_queue_limit) {
     op->state = SvcOp::State::kRejected;
-    op->retry_after = cfg_.dispatch_poll * static_cast<sim::Time>(pool.queued);
+    op->retry_after = visit_cost() * static_cast<sim::Time>(pool.queued);
     t.counters_.add(kCtrRejectedPeer);
     return op;
   }
@@ -305,13 +321,10 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
   // to a direct connection, no dispatcher latency). slot_for may block on a
   // lazy handshake, so the credit check runs after it returns.
   if (pool.queued == 0) {
-    const int slot_idx = t.id_ % cfg_.conns_per_peer;
     Endpoint& ep = cluster_.endpoint(t.node_);
     Slot& slot = slot_for(ep, ns, op->peer, t.id_);
-    if (pool.queued == 0 &&
-        slot.credits_used + credit_cost(*op) <=
-            effective_credit_limit(t.node_)) {
-      dispatch(ep, ns, pool, slot, slot_idx, op);
+    if (pool.queued == 0 && fits(slot, *op, effective_credit_limit(t.node_))) {
+      dispatch(ns, slot, op);
       t.counters_.add(kCtrInline);
       return op;
     }
@@ -327,18 +340,22 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
   }
   ++pool.queued;
   ++t.queued_;
+  ++ns.changes;
+  cluster_.endpoint(t.node_).notify_waiters();  // wake the dispatcher
   return op;
 }
 
 void Broker::dispatch_loop(Endpoint& ep) {
   NodeState& ns = *nodes_[ep.node_id()];
   while (!stop_) {
+    const std::uint64_t seen = ns.changes;
     const bool did = dispatch_pass(ep, ns);
     if (ns.flush_pending) {
       ns.flush_pending = false;
       ep.flush();  // one doorbell covers the whole batched pass
     }
-    if (!did) idle_wait(cfg_.dispatch_poll);
+    // Nothing dispatchable: sleep until an op is queued or credits free up.
+    if (!did) ep.wait_until([&] { return stop_ || ns.changes != seen; });
   }
 }
 
@@ -369,9 +386,8 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
       while (!tq->q.empty()) {
         const SvcOpPtr& head = tq->q.front();
         if (head->bytes > tq->deficit) break;  // spent this visit's quantum
-        const int slot_idx = tq->tenant->id() % cfg_.conns_per_peer;
         Slot& slot = slot_for(ep, ns, peer, tq->tenant->id());
-        if (slot.credits_used + credit_cost(*head) > limit) {
+        if (!fits(slot, *head, limit)) {
           tq->tenant->counters_.add(kCtrCreditStalls);
           // A credit-blocked visit is not a service opportunity: take this
           // visit's quantum back, or stalls would inflate the deficit into
@@ -385,7 +401,7 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
         --pool.queued;
         --op->tenant->queued_;
         tq->deficit -= std::min<std::uint64_t>(tq->deficit, op->bytes);
-        dispatch(ep, ns, pool, slot, slot_idx, op);
+        dispatch(ns, slot, op);
         tq->tenant->counters_.add(kCtrQueued);
         any = true;
       }
@@ -400,7 +416,10 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
         pool.rr.push_front(tq);
         break;  // no credits on this connection: stop burning the pass
       } else {
+        // Stopped on its deficit alone: the next round tops it up, so run
+        // that round now. Nothing else would wake the dispatcher for it.
         pool.rr.push_back(tq);  // back of the rotation, deficit preserved
+        any = true;
       }
     }
   }
@@ -440,14 +459,9 @@ std::uint32_t Broker::queued_ops(int node, int peer) const {
 // wait helper
 // ---------------------------------------------------------------------------
 
-bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
-                 sim::Time poll) {
-  const sim::Time deadline = cluster.sim().now() + timeout;
-  while (!op->test()) {
-    if (cluster.sim().now() >= deadline) return false;
-    idle_wait(poll);
-  }
-  return true;
+bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout) {
+  return cluster.endpoint(op->tenant->node())
+      .wait_until([&] { return op->test(); }, cluster.sim().now() + timeout);
 }
 
 }  // namespace multiedge::svc

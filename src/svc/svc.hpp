@@ -79,18 +79,18 @@ struct BrokerConfig {
   /// (multiplied by the tenant's weight — Tenant::set_weight).
   std::uint32_t drr_quantum_bytes = 4096;
   /// Scale pooled-connection credits down while the node's worst egress
-  /// rail is sick (see trace::RailHealth::Snapshot::score).
+  /// rail is sick (see trace::RailHealth::Snapshot::score). A connection
+  /// with nothing in flight still takes one op, so a shrunken limit delays
+  /// work but never strands it.
   bool rail_aware = true;
-  /// Dispatcher idle-poll granularity.
-  sim::Time dispatch_poll = sim::ns(500);
 };
 
 class Broker;
 class Tenant;
 
 /// One brokered operation. Returned as a shared handle: the submitting
-/// tenant polls it while the broker (and the proto completion hook) advance
-/// its state.
+/// tenant waits on it (wait_svc_op) while the broker (and the proto
+/// completion hook) advance its state.
 struct SvcOp {
   enum class Kind : std::uint8_t { kWrite, kRead, kGatherRead };
   enum class State : std::uint8_t { kQueued, kDispatched, kRejected };
@@ -111,9 +111,9 @@ struct SvcOp {
   trace::SpanContext ctx;           // kSvcOp span
   std::uint64_t parent_span = 0;
   /// Retry-after hint, set on admission-control rejections: the suggested
-  /// backoff before resubmitting, derived from the depth of the queue that
-  /// bounced the op (deeper backlog -> longer hint). Zero on stop-path
-  /// rejections — the broker is going away, retrying is pointless.
+  /// backoff before resubmitting, the depth of the queue that bounced the op
+  /// times Broker::visit_cost(). Zero on stop-path rejections — the broker
+  /// is going away, retrying is pointless.
   sim::Time retry_after = 0;
 
   /// Terminal-state query: rejected, or dispatched and complete.
@@ -194,6 +194,11 @@ class Broker {
   const BrokerConfig& config() const { return cfg_; }
   Cluster& cluster() { return cluster_; }
 
+  /// Host cost of one dispatcher visit that dispatches an op: the kernel
+  /// entry plus descriptor build that every dispatch charges to the node's
+  /// app CPU (HostCostModel). Rejection hints are queue depth x this.
+  sim::Time visit_cost() const;
+
   /// Pooled connections opened so far (all nodes) — the number the ≥8×
   /// fewer-connections CI gate compares against the per-client baseline.
   std::uint64_t connections_opened() const;
@@ -230,18 +235,23 @@ class Broker {
     sim::WaitQueue conn_wait;
     stats::Counters counters;        // broker-level (dispatcher) counters
     bool flush_pending = false;      // batched ops dispatched, doorbell owed
+    /// Bumped on every enqueue and credit release: the dispatcher sleeps
+    /// until it moves (or the broker stops).
+    std::uint64_t changes = 0;
   };
 
   SvcOpPtr submit(Tenant& t, SvcOpPtr op);
   void dispatch_loop(Endpoint& ep);
   /// One DRR sweep over every peer with backlog; returns true if any op was
-  /// dispatched.
+  /// dispatched or a queue still waits only on its deficit (the next sweep
+  /// serves it), false when everything left is credit-blocked or empty.
   bool dispatch_pass(Endpoint& ep, NodeState& ns);
   /// Dispatch `op` on its pinned slot; assumes credits were checked.
-  void dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
-                int slot_idx, const SvcOpPtr& op);
+  void dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op);
   Slot& slot_for(Endpoint& ep, NodeState& ns, int peer, int tenant_id);
   std::uint32_t credit_cost(const SvcOp& op) const;
+  /// Whether `slot` has the credits to take `op` under `limit`.
+  bool fits(const Slot& slot, const SvcOp& op, std::uint32_t limit) const;
   /// Per-connection credit limit, shrunk by rail health when rail_aware.
   std::uint32_t effective_credit_limit(int node) const;
   void on_tenant_closed();
@@ -255,10 +265,8 @@ class Broker {
   bool any_tenant_ = false;
 };
 
-/// Poll a brokered op to a terminal state with a deadline (mirrors the KV
-/// client's wait_op): false = still pending at timeout. The calling fiber
-/// idles `poll` between probes.
-bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
-                 sim::Time poll);
+/// Block the calling fiber (on the op's node) until a brokered op reaches a
+/// terminal state or `timeout` passes: false = still pending at timeout.
+bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout);
 
 }  // namespace multiedge::svc

@@ -1,7 +1,8 @@
 // src/coll tests: gather-read mirror op, tagged notification fairness,
 // differential correctness of every collective algorithm against the linear
-// fallback across topologies and node counts, and fault-tolerance runs
-// (burst loss, rail outage) with the protocol invariant checker armed.
+// fallback across topologies and node counts, fault-tolerance runs (burst
+// loss, rail outage) and the membership fail-fast exit of a rank declared
+// dead, with the protocol invariant checker armed.
 #include <algorithm>
 #include <cstring>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "core/api.hpp"
 #include "dsm/dsm.hpp"
 #include "dsm/shared_array.hpp"
+#include "member/member.hpp"
 
 namespace multiedge {
 namespace {
@@ -469,6 +471,52 @@ TEST(CollFaultTest, SurvivesSingleNodeCablePull) {
       {/*rail=*/0, /*node=*/2, /*start=*/sim::us(100), /*end=*/sim::ms(2)});
   CheckedCluster cluster(std::move(cfg));
   run_faulted_collectives(cluster, /*algos=*/0);
+}
+
+// ---------------------------------------------------------------------------
+// Fail-fast collectives: a rank declared dead by its peers must not hang
+// ---------------------------------------------------------------------------
+
+TEST(CollMemberTest, RankDeclaredDeadByEveryPeerExitsWithPeerFailure) {
+  // The victim's egress goes dark long enough for every peer to declare it
+  // Dead and abandon the barrier; its ingress keeps working, so its own view
+  // never loses a peer. Once its egress is back, a peer's ack tells it that
+  // it was declared dead. Its rank, still waiting in the barrier for signals
+  // nobody will send, must then exit with PeerFailure instead of hanging.
+  const int n = 4, victim = 2;
+  CheckedCluster cluster(config_1l_1g(n));
+  cluster.connect_all_mesh();  // every pair reachable in both directions
+  cluster.network().uplink(victim, 0).faults().outages.push_back(
+      {sim::ms(1), sim::us(4500)});
+  member::MemberConfig m;
+  m.retransmit_factor = 20;  // keep Dead(victim) in the peers' gossip
+  member::Service svc(cluster, m);
+  coll::CollDomain dom(cluster, {});
+
+  std::vector<int> failed_on(n, -2);
+  int done = 0;
+  for (int node = 0; node < n; ++node) {
+    cluster.spawn(node, "bar-" + std::to_string(node), [&, node](Endpoint& ep) {
+      coll::Communicator comm(dom, ep);
+      comm.set_membership(&svc.view(node));
+      try {
+        for (;;) comm.barrier();
+      } catch (const coll::PeerFailure& f) {
+        failed_on[node] = f.peer;
+      }
+      if (++done == n) svc.stop();
+    });
+  }
+  cluster.run_for(sim::ms(50));
+
+  EXPECT_EQ(done, n) << "a rank is still waiting in the barrier";
+  for (int node = 0; node < n; ++node) {
+    if (node != victim) {
+      EXPECT_EQ(failed_on[node], victim) << "rank " << node;
+    }
+  }
+  EXPECT_EQ(failed_on[victim], victim) << "the victim blames itself";
+  EXPECT_GT(svc.counters(victim).get("member_self_declared_dead"), 0u);
 }
 
 // ---------------------------------------------------------------------------

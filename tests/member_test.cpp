@@ -3,9 +3,9 @@
 // hierarchical topologies), robustness (zero false positives over a long
 // idle run under Gilbert-Elliott burst loss and delay jitter), the
 // suspicion -> refutation path across a transient isolation, passive probe
-// suppression under application traffic, the legacy mesh baseline, and the
-// membership-aware fail-fast collective barrier — all with the protocol
-// invariant checker armed.
+// suppression under application traffic, the legacy mesh baseline, acks
+// over connections other layers opened, and the membership-aware fail-fast
+// collective barrier — all with the protocol invariant checker armed.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -298,6 +298,35 @@ TEST(MemberPassive, ProbesSuppressedUnderApplicationTraffic) {
   // rounds overwhelmingly resolve without a dedicated ping.
   EXPECT_GT(agg.get("member_probes_suppressed"), agg.get("member_pings_sent"));
   EXPECT_EQ(agg.get("member_dead_marks"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Connections opened by other layers carry membership traffic
+// ---------------------------------------------------------------------------
+
+TEST(MemberRouting, AcksPingArrivingOnAnotherLayersConnection) {
+  // An application fiber on `opener` connects to `prober` before membership
+  // starts probing; `prober` probes first (its first round comes earlier
+  // under this seed) and its ping arrives on that connection. The ack must
+  // go back over it instead of waiting for a handshake of its own: a
+  // dropped ack here made the prober suspect a live peer (and, at scale,
+  // every peer declare it dead).
+  const int opener = 0, prober = 1;
+  CheckedCluster cluster(config_1l_1g(2));
+  member::MemberConfig m;
+  member::Service svc(cluster, m);
+  cluster.spawn(opener, "app", [&](Endpoint& ep) { ep.connect(prober); });
+  cluster.spawn(prober, "supervisor", [&](Endpoint&) {
+    sim::Process::current()->delay(sim::ms(5));
+    svc.stop();
+  });
+  cluster.run();
+
+  const stats::Counters agg = svc.aggregate_counters();
+  EXPECT_GT(svc.counters(prober).get("member_pings_sent"), 0u);
+  EXPECT_GT(svc.counters(opener).get("member_acks_sent"), 0u);
+  EXPECT_EQ(agg.get("member_msgs_unroutable"), 0u);
+  EXPECT_EQ(agg.get("member_suspects"), 0u);
 }
 
 // ---------------------------------------------------------------------------

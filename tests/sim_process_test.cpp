@@ -164,5 +164,75 @@ TEST(WaitQueue, MesaStyleConditionLoop) {
   EXPECT_EQ(observed, us(10));
 }
 
+// --- timed waits: WaitQueue::wait_until / Process::suspend(deadline) ---
+
+TEST(WaitQueue, WaitUntilTimesOutExactlyAtDeadline) {
+  Simulator sim;
+  WaitQueue q;
+  bool woken = true;
+  Time resumed_at = -1;
+  Process p(sim, "p", [&] {
+    woken = q.wait_until(us(10));
+    resumed_at = sim.now();
+  });
+  p.start();
+  sim.run();
+  EXPECT_FALSE(woken);
+  EXPECT_EQ(resumed_at, us(10));
+  EXPECT_TRUE(q.empty()) << "a timed-out waiter must leave the queue";
+  EXPECT_TRUE(p.done());
+}
+
+TEST(WaitQueue, WakeBeforeDeadlineRemovesTheTimer) {
+  Simulator sim;
+  WaitQueue q;
+  const std::size_t baseline = sim.pending();
+  bool woken = false;
+  Time resumed_at = -1;
+  Process p(sim, "p", [&] {
+    woken = q.wait_until(us(100));
+    resumed_at = sim.now();
+  });
+  p.start();
+  sim.run_until(us(1));
+  ASSERT_EQ(sim.pending(), baseline + 1) << "the deadline is one timer event";
+  sim.in(us(4), [&] {
+    q.notify_one();
+    // The resume event replaced the timer: nothing is left at 100us.
+    EXPECT_EQ(sim.pending(), baseline + 1);
+  });
+  sim.run();
+  EXPECT_TRUE(woken);
+  EXPECT_EQ(resumed_at, us(5));
+  EXPECT_EQ(sim.now(), us(5)) << "a cancelled timer must never fire";
+  EXPECT_EQ(sim.pending(), baseline);
+}
+
+TEST(Process, WakeAndTimeoutAtSameInstantResolveInEventOrder) {
+  // A wake scheduled before the deadline's timer event runs first and wins;
+  // one scheduled after it finds the process already timed out and is a
+  // no-op. Either way the outcome is fixed by event order, run to run.
+  auto run = [](bool wake_scheduled_first) {
+    Simulator sim;
+    bool woken = false;
+    Process p(sim, "p", [&] {
+      woken = Process::current()->suspend(us(10));
+      EXPECT_EQ(sim.now(), us(10));
+    });
+    if (wake_scheduled_first) sim.in(us(10), [&] { p.wake(); });
+    p.start();
+    if (!wake_scheduled_first) {
+      sim.in(us(5), [&] { sim.in(us(5), [&] { p.wake(); }); });
+    }
+    sim.run();
+    EXPECT_TRUE(p.done());
+    return woken;
+  };
+  EXPECT_TRUE(run(true));
+  EXPECT_FALSE(run(false));
+  EXPECT_TRUE(run(true));
+  EXPECT_FALSE(run(false));
+}
+
 }  // namespace
 }  // namespace multiedge::sim

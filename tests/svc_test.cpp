@@ -58,7 +58,7 @@ TEST(SvcBrokerTest, ManyTenantsShareFewPooledConnections) {
             tenant->write(1, dst + 64 * t, src + 64 * t, 64, kOpFlagNone));
       }
       for (const auto& op : ops) {
-        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
         ASSERT_FALSE(op->rejected());
         ++completed;
       }
@@ -104,7 +104,7 @@ TEST(SvcBrokerTest, CreditExhaustionStallsAndReleases) {
     // minus one op's cost — the broker never buries the window.
     EXPECT_LE(broker.credits_in_use(0, 1), 4u);
     for (const auto& op : ops) {
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
       ASSERT_FALSE(op->rejected());
     }
     tenant.close();
@@ -119,6 +119,37 @@ TEST(SvcBrokerTest, CreditExhaustionStallsAndReleases) {
       << "the burst never hit the credit cap — the scenario is too gentle";
   EXPECT_EQ(agg.get("svc_dispatched_inline") + agg.get("svc_dispatched_queued"),
             static_cast<std::uint64_t>(kOps));
+}
+
+TEST(SvcBrokerTest, QueuedOpLargerThanTwoQuantaIsDispatched) {
+  // Two 64 KiB writes back to back: the first goes inline and holds 46 of
+  // the 64 default credits, so the second queues. It needs 16 DRR quanta of
+  // deficit; once the first completes, no further enqueue or credit release
+  // arrives to wake the dispatcher, so the rounds that top the deficit up
+  // must run on their own.
+  CheckedCluster cluster(config_1l_1g(2));
+  svc::Broker broker(cluster, {});
+
+  constexpr std::uint32_t kBytes = 64 * 1024;
+  const std::uint64_t dst = cluster.memory(1).alloc(kBytes);
+  const std::uint64_t src = cluster.memory(0).alloc(kBytes);
+
+  svc::Tenant& tenant = broker.attach(0, "bulk");
+  bool both_done = false;
+  cluster.spawn(0, "bulk", [&](Endpoint&) {
+    const svc::SvcOpPtr a = tenant.write(1, dst, src, kBytes, kOpFlagNone);
+    const svc::SvcOpPtr b = tenant.write(1, dst, src, kBytes, kOpFlagNone);
+    EXPECT_EQ(broker.queued_ops(0, 1), 1u) << "the second write did not queue";
+    const bool a_done = svc::wait_svc_op(cluster, a, sim::ms(10));
+    const bool b_done = svc::wait_svc_op(cluster, b, sim::ms(10));
+    both_done = a_done && b_done && !a->rejected() && !b->rejected();
+    tenant.close();
+  });
+  cluster.run();
+
+  EXPECT_TRUE(both_done);
+  EXPECT_EQ(broker.credits_in_use(0, 1), 0u);
+  EXPECT_EQ(broker.aggregate_counters().get("svc_dispatched_queued"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,7 +186,7 @@ TEST(SvcBrokerTest, DrrKeepsLightTenantLatencyBoundedUnderHog) {
       ops.push_back(hog.write(1, hog_dst, hog_src, kHogBytes, kOpFlagSolicit));
     }
     for (const auto& op : ops) {
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
     }
     hog_done = cluster.sim().now();
     hog.close();
@@ -169,7 +200,7 @@ TEST(SvcBrokerTest, DrrKeepsLightTenantLatencyBoundedUnderHog) {
       // instead of riding the receiver's delayed-ack timer.
       const svc::SvcOpPtr op =
           light.write(1, light_dst, light_src, 256, kOpFlagSolicit);
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
       ASSERT_FALSE(op->rejected());
       light_max = std::max(light_max, cluster.sim().now() - t0);
     }
@@ -223,7 +254,7 @@ TEST(SvcBrokerTest, WeightedDrrSplitsBandwidthByWeight) {
       ops.push_back(t.write(1, d, s, kBytes, kOpFlagSolicit));
     }
     for (const auto& op : ops) {
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
       ASSERT_FALSE(op->rejected());
     }
     *done = cluster.sim().now();
@@ -276,7 +307,7 @@ TEST(SvcBrokerTest, AdmissionRejectsBeyondQueueBounds) {
         if (ops.back()->rejected()) ++rejected;
       }
       for (const auto& op : ops) {
-        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
         if (!op->rejected()) ++completed;
       }
       tenant->close();
@@ -326,20 +357,24 @@ TEST(SvcBrokerTest, RejectionCarriesRetryAfterHint) {
         const svc::SvcOpPtr& op = ops.back();
         if (op->rejected()) {
           ++rejected;
-          // The hint is the bounced queue's depth in dispatcher ticks —
-          // at least one full tick, and bounded by the larger admission
-          // limit (the queue can never be deeper than the bound it hit).
-          EXPECT_GE(op->retry_after, bcfg.dispatch_poll);
-          EXPECT_LE(op->retry_after,
-                    bcfg.dispatch_poll *
-                        static_cast<sim::Time>(bcfg.peer_queue_limit));
+          // The hint is the bounced queue's depth in dispatcher visits —
+          // at least one visit, and exactly depth x visit cost, where the
+          // depth is the full tenant queue or the peer queue that bounced
+          // the op.
+          const sim::Time visit = broker.visit_cost();
+          EXPECT_GE(op->retry_after, visit);
+          const sim::Time depth = op->retry_after / visit;
+          EXPECT_EQ(op->retry_after, depth * visit);
+          EXPECT_TRUE(depth == bcfg.tenant_queue_limit ||
+                      depth == broker.queued_ops(0, 1))
+              << "hint depth " << depth;
         } else {
           ++accepted;
           EXPECT_EQ(op->retry_after, 0) << "accepted ops carry no hint";
         }
       }
       for (const auto& op : ops) {
-        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1)));
       }
       tenant->close();
     });
