@@ -26,10 +26,6 @@ struct AppParams {
   /// Scale factor applied to the kernel's default problem (1.0 = default,
   /// used by quick test runs to shrink further).
   double scale = 1.0;
-  /// Route the kernel's all-to-all phases (FFT transposes, Radix
-  /// permutations) over the collective communicator (src/coll) instead of
-  /// page-fault-driven DSM sharing. Checksums must not change.
-  bool use_coll = false;
 };
 
 class Application {

@@ -51,7 +51,7 @@ void fft_row(Cplx* a, std::size_t len, const std::vector<Cplx>& roots) {
 
 class FftApp final : public Application {
  public:
-  explicit FftApp(const AppParams& p) : use_coll_(p.use_coll) {
+  explicit FftApp(const AppParams& p) {
     long n = p.n > 0 ? p.n : (1L << 18);
     n = static_cast<long>(static_cast<double>(n) * (p.scale > 0 ? p.scale : 1.0));
     m_ = 1;
@@ -102,33 +102,17 @@ class FftApp final : public Application {
   }
 
   void run(dsm::Dsm& d) override {
-    // Opt-in collective path: the three transposes become one all_to_all_v
-    // each over symmetric endpoint buffers (allocated identically on every
-    // node, so the VAs line up). Sized for the largest row chunk.
-    std::uint64_t send_va = 0, recv_va = 0;
-    if (use_coll_ && d.comm()) {
-      const std::size_t buf = max_rows(d.num_nodes()) * m_ * sizeof(Cplx);
-      send_va = d.endpoint().memory().alloc(buf, 64);
-      recv_va = d.endpoint().memory().alloc(buf, 64);
-    }
-    auto xpose = [&](dsm::SharedArray<Cplx>& s, dsm::SharedArray<Cplx>& t) {
-      if (send_va) {
-        transpose_coll(d, s, t, send_va, recv_va);
-      } else {
-        transpose(d, s, t);
-      }
-    };
-    xpose(a_, b_);
+    transpose(d, a_, b_);
     d.barrier();
     fft_rows(d, b_);
     d.barrier();
     twiddle(d, b_);
     d.barrier();
-    xpose(b_, a_);
+    transpose(d, b_, a_);
     d.barrier();
     fft_rows(d, a_);
     d.barrier();
-    xpose(a_, b_);
+    transpose(d, a_, b_);
     d.barrier();
   }
 
@@ -146,9 +130,6 @@ class FftApp final : public Application {
   }
   std::pair<std::size_t, std::size_t> my_rows(dsm::Dsm& d) const {
     return rows_of(d.rank(), d.num_nodes());
-  }
-  std::size_t max_rows(int nodes) const {
-    return rows_of(nodes - 1, nodes).second - rows_of(nodes - 1, nodes).first;
   }
 
   std::size_t bytes() const { return m_ * m_ * sizeof(Cplx); }
@@ -170,58 +151,6 @@ class FftApp final : public Application {
       }
     }
     d.compute_units(static_cast<double>((r1 - r0) * m_), kTransposeNs);
-  }
-
-  // Collective transpose: each node reads only its own (local) source rows,
-  // packs per-destination column tiles, exchanges them in one all_to_all_v,
-  // and writes only its own destination rows — the page-fault-driven remote
-  // column fetches become streamed bulk RDMA.
-  void transpose_coll(dsm::Dsm& d, dsm::SharedArray<Cplx>& src,
-                      dsm::SharedArray<Cplx>& dst, std::uint64_t send_va,
-                      std::uint64_t recv_va) {
-    const int p = d.num_nodes();
-    const int me = d.rank();
-    auto [r0, r1] = my_rows(d);
-    const std::size_t nr = r1 - r0;
-    dsm::SharedArray<Cplx> S(&d, src.va(), m_ * m_);
-    dsm::SharedArray<Cplx> D(&d, dst.va(), m_ * m_);
-    proto::MemorySpace& mem = d.endpoint().memory();
-
-    // Pack: tile me->dest holds src[j][i] for j in my rows, i in dest's
-    // rows, row-major in (j, i). Source rows are my own chunk — local reads.
-    Cplx* sb = mem.as<Cplx>(send_va);
-    std::vector<std::uint32_t> send_bytes(p, 0);
-    std::size_t off = 0;
-    for (int dest = 0; dest < p; ++dest) {
-      auto [c0, c1] = rows_of(dest, p);
-      const std::size_t nc = c1 - c0;
-      for (std::size_t j = r0; j < r1; ++j) {
-        const Cplx* slice = S.read(j * m_ + c0, nc);
-        std::copy(slice, slice + nc, sb + off + (j - r0) * nc);
-      }
-      send_bytes[dest] = static_cast<std::uint32_t>(nr * nc * sizeof(Cplx));
-      off += nr * nc;
-    }
-
-    const std::vector<std::uint32_t> matrix =
-        d.comm()->all_to_all_v(send_va, recv_va, send_bytes);
-
-    // Unpack: block from s holds src[j][i] for j in s's rows, i in my rows;
-    // dst[i][j] = src[j][i], and rows [r0, r1) of dst are mine to write.
-    Cplx* out = D.write(r0 * m_, nr * m_);
-    const Cplx* rb = mem.as<Cplx>(recv_va);
-    std::size_t roff = 0;
-    for (int s = 0; s < p; ++s) {
-      auto [j0, j1] = rows_of(s, p);
-      const Cplx* block = rb + roff;
-      for (std::size_t j = j0; j < j1; ++j) {
-        for (std::size_t i = r0; i < r1; ++i) {
-          out[(i - r0) * m_ + j] = block[(j - j0) * nr + (i - r0)];
-        }
-      }
-      roff += matrix[s * p + me] / sizeof(Cplx);
-    }
-    d.compute_units(static_cast<double>(nr * m_), kTransposeNs);
   }
 
   void fft_rows(dsm::Dsm& d, dsm::SharedArray<Cplx>& arr) {
@@ -249,7 +178,6 @@ class FftApp final : public Application {
   }
 
   std::size_t m_ = 0;
-  bool use_coll_ = false;
   dsm::SharedArray<Cplx> a_, b_;
   std::vector<Cplx> roots_;
   std::size_t footprint_ = 0;

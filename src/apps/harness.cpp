@@ -78,17 +78,10 @@ AppRunResult run_app(const HarnessOptions& opts, const std::string& app_name,
   // Size the shared region and node memory to the application.
   dcfg.shared_bytes =
       std::max(dcfg.shared_bytes, app->footprint_bytes() + (4u << 20));
-  dcfg.enable_coll = dcfg.enable_coll || params.use_coll;
   ClusterConfig ccfg = opts.cluster;
   ccfg.topology.num_nodes = nodes;
   ccfg.memory_bytes_per_node = dcfg.mailbox_bytes * (nodes + 1) +
                                dcfg.shared_bytes + (std::size_t{8} << 20);
-  if (dcfg.enable_coll || dcfg.use_coll_barrier) {
-    // Collective staging (CollDomain) plus the apps' symmetric exchange
-    // buffers, both carved from endpoint memory.
-    ccfg.memory_bytes_per_node +=
-        8 * dcfg.coll_max_data_bytes + app->footprint_bytes();
-  }
   Cluster cluster(ccfg);
 
   dsm::DsmSystem sys(cluster, dcfg);

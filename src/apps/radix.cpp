@@ -28,7 +28,7 @@ constexpr double kPermNs = 22.0;
 
 class RadixApp final : public Application {
  public:
-  explicit RadixApp(const AppParams& p) : use_coll_(p.use_coll) {
+  explicit RadixApp(const AppParams& p) {
     long n = p.n > 0 ? p.n : (1L << 20);
     n = static_cast<long>(static_cast<double>(n) * (p.scale > 0 ? p.scale : 1.0));
     n_ = std::max<std::size_t>(static_cast<std::size_t>(n), 4096);
@@ -73,16 +73,6 @@ class RadixApp final : public Application {
     std::uint64_t src_va = src_.va();
     std::uint64_t dst_va = dst_.va();
 
-    // Collective path: symmetric (pos, key)-pair exchange buffers. Every
-    // destination position receives exactly one key per pass, so both sides
-    // are bounded by the largest key chunk.
-    std::uint64_t send_va = 0, recv_va = 0;
-    if (use_coll_ && d.comm()) {
-      const std::size_t chunk_max = n_ - (p - 1) * (n_ / p);
-      send_va = d.endpoint().memory().alloc(chunk_max * 8, 64);
-      recv_va = d.endpoint().memory().alloc(chunk_max * 8, 64);
-    }
-
     for (int pass = 0; pass < kPasses; ++pass) {
       const int shift = pass * kRadixBits;
       auto [k0, k1] = my_range(d);
@@ -117,18 +107,12 @@ class RadixApp final : public Application {
       }
       d.compute_units(static_cast<double>(kRadix * p), 3.0);
 
-      // Permutation: scattered remote writes across the destination — or,
-      // on the collective path, one all_to_all_v of (position, key) pairs so
-      // each node only ever writes its own (locally homed) slice of dst.
-      if (send_va) {
-        permute_coll(d, D, keys, k1 - k0, shift, offset, send_va, recv_va);
-      } else {
-        for (std::size_t i = 0; i < k1 - k0; ++i) {
-          const std::uint32_t key = keys[i];
-          const std::size_t v = (key >> shift) & (kRadix - 1);
-          const std::size_t pos = offset[v]++;
-          *D.write(pos, 1) = key;
-        }
+      // Permutation: scattered remote writes across the destination.
+      for (std::size_t i = 0; i < k1 - k0; ++i) {
+        const std::uint32_t key = keys[i];
+        const std::size_t v = (key >> shift) & (kRadix - 1);
+        const std::size_t pos = offset[v]++;
+        *D.write(pos, 1) = key;
       }
       d.compute_units(static_cast<double>(k1 - k0), kPermNs);
       d.barrier();
@@ -142,51 +126,6 @@ class RadixApp final : public Application {
   }
 
  private:
-  // Bucket each key's (global position, key) pair by the node whose dst
-  // chunk owns the position, exchange the buckets in one all_to_all_v, then
-  // scatter only into this node's own dst range.
-  void permute_coll(dsm::Dsm& d, dsm::SharedArray<std::uint32_t>& D,
-                    const std::uint32_t* keys, std::size_t count, int shift,
-                    std::vector<std::uint64_t>& offset, std::uint64_t send_va,
-                    std::uint64_t recv_va) {
-    const int p = d.num_nodes();
-    const int me = d.rank();
-    const std::size_t chunk = n_ / p;
-    proto::MemorySpace& mem = d.endpoint().memory();
-
-    std::vector<std::vector<std::uint32_t>> bucket(p);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t key = keys[i];
-      const std::size_t v = (key >> shift) & (kRadix - 1);
-      const std::size_t pos = offset[v]++;
-      const int q = std::min<int>(static_cast<int>(pos / chunk), p - 1);
-      bucket[q].push_back(static_cast<std::uint32_t>(pos));
-      bucket[q].push_back(key);
-    }
-
-    std::uint32_t* sb = mem.as<std::uint32_t>(send_va);
-    std::vector<std::uint32_t> send_bytes(p, 0);
-    std::size_t off = 0;
-    for (int q = 0; q < p; ++q) {
-      std::copy(bucket[q].begin(), bucket[q].end(), sb + off);
-      send_bytes[q] = static_cast<std::uint32_t>(bucket[q].size() * 4);
-      off += bucket[q].size();
-    }
-
-    const std::vector<std::uint32_t> matrix =
-        d.comm()->all_to_all_v(send_va, recv_va, send_bytes);
-
-    const std::uint32_t* rb = mem.as<std::uint32_t>(recv_va);
-    std::size_t roff = 0;
-    for (int q = 0; q < p; ++q) {
-      const std::size_t words = matrix[q * p + me] / 4;
-      for (std::size_t w = 0; w < words; w += 2) {
-        *D.write(rb[roff + w], 1) = rb[roff + w + 1];
-      }
-      roff += words;
-    }
-  }
-
   std::pair<std::size_t, std::size_t> my_range(dsm::Dsm& d) const {
     const std::size_t chunk = n_ / d.num_nodes();
     const std::size_t k0 = d.rank() * chunk;
@@ -195,7 +134,6 @@ class RadixApp final : public Application {
   }
 
   std::size_t n_ = 0;
-  bool use_coll_ = false;
   dsm::SharedArray<std::uint32_t> src_, dst_;
   dsm::SharedArray<std::uint64_t> hist_;
   std::uint64_t sorted_va_ = 0;

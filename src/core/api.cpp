@@ -148,6 +148,22 @@ Connection Endpoint::connect(int peer) {
   return Connection(this, c);
 }
 
+Connection& SharedConnection::get(Endpoint& ep, int peer,
+                                  sim::WaitQueue& wait, bool* opened) {
+  while (!conn_.valid()) {
+    if (connecting_) {
+      wait.wait();
+      continue;
+    }
+    connecting_ = true;
+    conn_ = ep.connect(peer);
+    connecting_ = false;
+    if (opened != nullptr) *opened = true;
+    wait.notify_all();
+  }
+  return conn_;
+}
+
 Connection Endpoint::accept(int peer) {
   proto::Connection* c = nullptr;
   while ((c = engine_.responder_for(peer)) == nullptr) {

@@ -34,6 +34,7 @@
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "sim/wait_queue.hpp"
 #include "trace/rail_health.hpp"
 #include "trace/timeseries.hpp"
 #include "trace/trace.hpp"
@@ -260,6 +261,24 @@ class Endpoint {
   sim::Time proto_app_time_ = 0;
   /// Registered (pinned) regions: start -> end, non-overlapping.
   std::map<std::uint64_t, std::uint64_t> registered_;
+};
+
+/// A lazily opened connection shared by the fibers of one node. The first
+/// fiber that needs it runs the handshake; fibers racing in meanwhile park
+/// on the caller's wait queue until it is established instead of opening
+/// duplicates.
+class SharedConnection {
+ public:
+  /// The connection to `peer`, opened through `ep` on first use. Sets
+  /// `*opened` only in the one call that ran the handshake.
+  Connection& get(Endpoint& ep, int peer, sim::WaitQueue& wait,
+                  bool* opened = nullptr);
+  /// The established connection; valid once get() has returned.
+  Connection& connection() { return conn_; }
+
+ private:
+  Connection conn_;
+  bool connecting_ = false;
 };
 
 /// Everything needed to instantiate a cluster.

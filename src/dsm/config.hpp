@@ -27,19 +27,6 @@ struct DsmConfig {
   /// ordered behind the diff flushes it covers on the same connection).
   bool use_fences = false;
 
-  /// Build a collective communicator (src/coll) for every node, reachable
-  /// via Dsm::comm(). Collective traffic runs on its own notification tag,
-  /// so it never competes with the DSM mailboxes.
-  bool enable_coll = false;
-  /// Run barrier() over the collective communicator's dissemination barrier
-  /// instead of the centralized manager mailbox protocol; write notices
-  /// travel as direct peer-to-peer kBarrierNotice messages. Off by default
-  /// (the centralized path keeps same-seed golden traces byte-identical).
-  /// Implies enable_coll.
-  bool use_coll_barrier = false;
-  /// CollConfig::max_data_bytes for the embedded communicator.
-  std::size_t coll_max_data_bytes = std::size_t{64} << 10;
-
   // --- host cost model of the DSM runtime itself (charged to the app CPU;
   //     GeNIMA work is application-level work, not MultiEdge protocol) ---
   /// Taking a page fault: trap + handler entry (mprotect/SIGSEGV path).

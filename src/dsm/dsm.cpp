@@ -30,20 +30,9 @@ DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
     }
   }
   shared_brk_ = shared_base_;
-  // The collective domain allocates its own symmetric scratch, after the
-  // DSM regions so the layout stays identical on every node.
-  if (cfg_.enable_coll || cfg_.use_coll_barrier) {
-    coll::CollConfig ccfg;
-    ccfg.max_data_bytes = cfg_.coll_max_data_bytes;
-    coll_domain_ = std::make_unique<coll::CollDomain>(cluster_, ccfg);
-  }
   nodes_.reserve(n);
   for (int i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<Dsm>(*this, cluster_.endpoint(i), i));
-    if (coll_domain_) {
-      nodes_.back()->comm_ = std::make_unique<coll::Communicator>(
-          *coll_domain_, cluster_.endpoint(i));
-    }
   }
 }
 
@@ -396,9 +385,8 @@ void Dsm::send_msg(int dst, Message m, bool fence) {
 void Dsm::service_loop() {
   while (!stop_service_) {
     rma::NotifyEvent ev;
-    // The mailbox window matches tag 0 only: collective signals
-    // (coll::kCollTag) belong to the worker fiber's Communicator and must
-    // not be stolen here.
+    // The mailbox window matches tag 0 only: notifications on other tags
+    // belong to other layers sharing the endpoint and must not be stolen.
     if (msg_win_.test_notify(&ev)) {
       const DsmConfig& cfg = system_.cfg_;
       stats_.overhead += cfg.msg_handling_cost;
@@ -477,15 +465,6 @@ void Dsm::handle_msg(const Message& m) {
       barrier_waiters_.notify_all();
       break;
     }
-    case MsgType::kBarrierNotice: {
-      BarrierSlot& slot = notice_slots_[m.epoch];
-      slot.arrived += 1;
-      for (const NoticeSection& s : m.notices) {
-        if (!s.pages.empty()) slot.sections.push_back(s);
-      }
-      barrier_waiters_.notify_all();
-      break;
-    }
   }
 }
 
@@ -545,16 +524,6 @@ void Dsm::unlock(int lock_id) {
 
 void Dsm::barrier() {
   const sim::Time t0 = ep_.cluster().sim().now();
-  if (comm_ && system_.cfg_.use_coll_barrier) {
-    barrier_collective();
-  } else {
-    barrier_centralized();
-  }
-  stats_.barrier_wait += ep_.cluster().sim().now() - t0;
-  stats_.barriers += 1;
-}
-
-void Dsm::barrier_centralized() {
   const int mgr = 0;
   const bool fence = system_.cfg_.use_fences && mgr != rank_;
   flush_dirty(fence ? mgr : -1);
@@ -571,47 +540,8 @@ void Dsm::barrier_centralized() {
   send_msg(mgr, arr, fence);
 
   while (barrier_released_gen_ < barrier_gen_) barrier_waiters_.wait();
-}
-
-// Decentralized barrier: flush, mail the write notice directly to every
-// peer (no manager aggregation), rendezvous via the collective
-// dissemination barrier, then wait for the n-1 peer notices of this epoch
-// and apply them. The notice is sent even when empty — receivers count
-// arrivals per epoch, and the count must not depend on what was dirtied.
-// All diff acks are awaited before the notices go out (there is no single
-// manager a backward fence could order them behind), so any node passing
-// the rendezvous implies every flush of the interval has landed at its home.
-void Dsm::barrier_collective() {
-  flush_dirty(-1);
-
-  Message note;
-  note.type = MsgType::kBarrierNotice;
-  note.id = 0;
-  note.epoch = ++barrier_gen_;
-  NoticeSection all;
-  all.writer = static_cast<std::uint16_t>(rank_);
-  all.pages.assign(since_barrier_pages_.begin(), since_barrier_pages_.end());
-  since_barrier_pages_.clear();
-  if (!all.pages.empty()) note.notices.push_back(std::move(all));
-  // The notice fan-out is one access epoch: n-1 notified puts published
-  // together (close() would ring the doorbell if the window were batched;
-  // here it just brackets the fan-out for the epoch counters and asserts).
-  msg_win_.open();
-  for (int i = 0; i < num_nodes(); ++i) {
-    if (i != rank_) send_msg(i, note, /*fence=*/false);
-  }
-  msg_win_.close();
-
-  comm_->barrier();
-
-  auto arrived = [this] {
-    auto it = notice_slots_.find(barrier_gen_);
-    return it != notice_slots_.end() && it->second.arrived == num_nodes() - 1;
-  };
-  while (!arrived()) barrier_waiters_.wait();
-  auto slot = notice_slots_.extract(barrier_gen_);
-  apply_notices(slot.mapped().sections);
-  barrier_released_gen_ = barrier_gen_;
+  stats_.barrier_wait += ep_.cluster().sim().now() - t0;
+  stats_.barriers += 1;
 }
 
 void Dsm::flush() {

@@ -30,7 +30,6 @@
 #include <set>
 #include <vector>
 
-#include "coll/coll.hpp"
 #include "core/api.hpp"
 #include "dsm/config.hpp"
 #include "dsm/msg.hpp"
@@ -110,12 +109,6 @@ class Dsm {
   DsmNodeStats& stats() { return stats_; }
   Endpoint& endpoint() { return ep_; }
 
-  /// This node's collective communicator, or nullptr unless
-  /// DsmConfig::enable_coll / use_coll_barrier is set. Collective calls run
-  /// in the worker fiber on their own notification tag, concurrently with
-  /// the DSM's tag-0 mailbox traffic.
-  coll::Communicator* comm() { return comm_.get(); }
-
  private:
   friend class DsmSystem;
 
@@ -166,8 +159,6 @@ class Dsm {
   void handle_msg(const Message& m);
   void grant_lock(int lock_id, int to);
   void service_loop();
-  void barrier_centralized();
-  void barrier_collective();
 
   DsmSystem& system_;
   Endpoint& ep_;
@@ -192,9 +183,6 @@ class Dsm {
   std::uint32_t barrier_released_gen_ = 0;  // releases seen
   sim::WaitQueue barrier_waiters_;
   std::map<std::uint32_t, BarrierSlot> barrier_slots_;  // manager node only
-  // use_coll_barrier: per-epoch peer-notice collection (every node).
-  std::map<std::uint32_t, BarrierSlot> notice_slots_;
-  std::unique_ptr<coll::Communicator> comm_;
 
   bool stop_service_ = false;
   DsmNodeStats stats_;
@@ -234,7 +222,6 @@ class DsmSystem {
   std::uint64_t staging_base_ = 0;
   std::uint64_t shared_base_ = 0;
   std::uint64_t shared_brk_ = 0;
-  std::unique_ptr<coll::CollDomain> coll_domain_;  // enable_coll only
   std::vector<std::unique_ptr<Dsm>> nodes_;
   std::vector<std::unique_ptr<sim::Process>> service_procs_;
 };

@@ -93,7 +93,17 @@ struct ReqHeader {
 };
 static_assert(sizeof(ReqHeader) == 32);
 
-/// Wire layout of a server response; value bytes follow.
+/// Write a request body (key, then value) after its header. Empty views may
+/// carry a null data() pointer, which memcpy must never see.
+void put_body(std::byte* body, std::string_view key, std::string_view value) {
+  if (!key.empty()) std::memcpy(body, key.data(), key.size());
+  if (!value.empty()) {
+    std::memcpy(body + key.size(), value.data(), value.size());
+  }
+}
+
+/// Wire layout of a server response to a PUT/DELETE: status only, val_len
+/// is always 0 (GETs never go through the server).
 struct RespHeader {
   std::uint64_t seq;
   std::uint32_t status;
@@ -364,7 +374,7 @@ void Server::handle_request(Endpoint& ep, const Notification& n) {
     const trace::SpanScope scope(hctx);
     const ApplyResult r =
         dispatch(ep, h.op, key, value, h.seq, h.client_node, h.cslot);
-    respond(ep, h.client_node, h.cslot, h.seq, r.status, r.value);
+    respond(ep, h.client_node, h.cslot, h.seq, r.status);
   }
   if (hctx.active()) {
     tr->record_span(h0, sys_.cluster().sim().now() - h0,
@@ -539,9 +549,7 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
   h->client_node = static_cast<std::uint16_t>(client_node);
   h->cslot = static_cast<std::uint16_t>(cslot);
   h->repl_gen = gen;
-  std::byte* body = mem.as<std::byte>(build + sizeof(ReqHeader));
-  std::memcpy(body, key.data(), key.size());
-  std::memcpy(body + key.size(), value.data(), value.size());
+  put_body(mem.as<std::byte>(build + sizeof(ReqHeader)), key, value);
   const std::uint32_t bytes =
       static_cast<std::uint32_t>(sizeof(ReqHeader) + key.size() + value.size());
 
@@ -652,7 +660,7 @@ void Server::handle_repl(Endpoint& ep, const rma::NotifyEvent& n) {
 }
 
 void Server::respond(Endpoint& ep, int client_node, int cslot,
-                     std::uint64_t seq, Status st, std::string_view value) {
+                     std::uint64_t seq, Status st) {
   assert(client_node != node_ && "local clients use execute_local");
   const KvConfig& cfg = sys_.config();
   const KvDomain& dom = sys_.domain();
@@ -661,9 +669,7 @@ void Server::respond(Endpoint& ep, int client_node, int cslot,
   auto* rh = mem.as<RespHeader>(build);
   rh->seq = seq;
   rh->status = static_cast<std::uint32_t>(st);
-  rh->val_len = static_cast<std::uint32_t>(value.size());
-  std::memcpy(mem.as<std::byte>(build + sizeof(RespHeader)), value.data(),
-              value.size());
+  rh->val_len = 0;
   // QuietNotify: a response is fire-and-forget — the server never waits on
   // this op, and the client unblocks on the data-frame notification, not the
   // ack — so under selective signaling it may ride unsignaled like bulk.
@@ -677,8 +683,7 @@ void Server::respond(Endpoint& ep, int client_node, int cslot,
   if (cfg.server_burst > 1) flags |= kOpFlagBatched;
   sys_.conn_to(ep, client_node)
       .rdma_write(dom.resp_slot_va(cslot, node_), build,
-                  static_cast<std::uint32_t>(sizeof(RespHeader) + value.size()),
-                  flags);
+                  static_cast<std::uint32_t>(sizeof(RespHeader)), flags);
   counters_.add(kCtrResponses);
 }
 
@@ -775,8 +780,7 @@ Status Client::get(std::string_view key, std::string* out) {
   check_sizes(sys_.config(), key, {});
   const KvOpSpan span(sys_.cluster(), node_, kOpGet);
   const sim::Time t0 = sys_.cluster().sim().now();
-  const Status st = sys_.config().one_sided_get ? one_sided_get(key, out)
-                                                : rpc(kOpGet, key, {}, out);
+  const Status st = one_sided_get(key, out);
   get_hist_.record(
       static_cast<std::uint64_t>(sim::to_ns(sys_.cluster().sim().now() - t0)));
   counters_.add(kCtrGets);
@@ -787,7 +791,7 @@ Status Client::put(std::string_view key, std::string_view value) {
   check_sizes(sys_.config(), key, value);
   const KvOpSpan span(sys_.cluster(), node_, kOpPut);
   const sim::Time t0 = sys_.cluster().sim().now();
-  const Status st = rpc(kOpPut, key, value, nullptr);
+  const Status st = rpc(kOpPut, key, value);
   put_hist_.record(
       static_cast<std::uint64_t>(sim::to_ns(sys_.cluster().sim().now() - t0)));
   counters_.add(kCtrPuts);
@@ -798,7 +802,7 @@ Status Client::del(std::string_view key) {
   check_sizes(sys_.config(), key, {});
   const KvOpSpan span(sys_.cluster(), node_, kOpDel);
   const sim::Time t0 = sys_.cluster().sim().now();
-  const Status st = rpc(kOpDel, key, {}, nullptr);
+  const Status st = rpc(kOpDel, key, {});
   put_hist_.record(
       static_cast<std::uint64_t>(sim::to_ns(sys_.cluster().sim().now() - t0)));
   counters_.add(kCtrDels);
@@ -814,7 +818,7 @@ Status Client::shed(const ClientOpRef& r) {
 }
 
 Status Client::rpc(std::uint32_t op, std::string_view key,
-                   std::string_view value, std::string* out) {
+                   std::string_view value) {
   const KvConfig& cfg = sys_.config();
   const KvDomain& dom = sys_.domain();
   proto::MemorySpace& mem = ep_.memory();
@@ -828,15 +832,13 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         sys_.ring().primary_of(p, sys_.detector(node_).down_map());
     if (primary < 0) return Status::kUnavailable;
     if (primary == node_) {
-      std::string local;
       const Status st = sys_.server(node_).execute_local(
-          ep_, op, key, value, seq, node_, cslot_, &local);
+          ep_, op, key, value, seq, node_, cslot_, nullptr);
       if (st == Status::kWrongPrimary) {
         counters_.add(kCtrWrongPrimary);
         pause(cfg.heartbeat_period);  // let the detectors converge
         continue;
       }
-      if (out) *out = std::move(local);
       return st;
     }
 
@@ -850,9 +852,7 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
     h->client_node = static_cast<std::uint16_t>(node_);
     h->cslot = static_cast<std::uint16_t>(cslot_);
     h->repl_gen = 0;
-    std::byte* body = mem.as<std::byte>(build + sizeof(ReqHeader));
-    std::memcpy(body, key.data(), key.size());
-    std::memcpy(body + key.size(), value.data(), value.size());
+    put_body(mem.as<std::byte>(build + sizeof(ReqHeader)), key, value);
     // Under submission batching the request rides the ring as a BATCHED
     // (non-urgent) op and is pushed out by the engine-wide flush below: one
     // doorbell syscall can release requests several client fibers on this
@@ -896,13 +896,7 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
           continue;
         }
         st = static_cast<Status>(rh->status);
-        if (st == Status::kWrongPrimary) {
-          wrong_primary = true;
-        } else if (out) {
-          const char* v = reinterpret_cast<const char*>(
-              mem.as<std::byte>(n.va + sizeof(RespHeader)));
-          out->assign(v, rh->val_len);
-        }
+        wrong_primary = st == Status::kWrongPrimary;
         got = true;
         break;
       }
@@ -1105,7 +1099,6 @@ System::System(Cluster& cluster, KvConfig cfg, member::Service* membership)
     auto ctx = std::make_unique<NodeCtx>();
     ctx->server = std::make_unique<Server>(*this, i);
     ctx->conns.resize(n);
-    ctx->connecting.assign(n, false);
     nodes_.push_back(std::move(ctx));
   }
   for (int i = 0; i < n; ++i) {
@@ -1127,19 +1120,7 @@ void System::stop() {
 Connection& System::conn_to(Endpoint& ep, int peer) {
   assert(peer != ep.node_id());
   NodeCtx& ctx = *nodes_[ep.node_id()];
-  // One shared connection per peer; fibers racing to create it wait for the
-  // first one's handshake instead of opening duplicates.
-  for (;;) {
-    if (ctx.conns[peer].valid()) return ctx.conns[peer];
-    if (!ctx.connecting[peer]) break;
-    ctx.conn_wait.wait();
-  }
-  ctx.connecting[peer] = true;
-  Connection c = ep.connect(peer);
-  ctx.conns[peer] = c;
-  ctx.connecting[peer] = false;
-  ctx.conn_wait.notify_all();
-  return ctx.conns[peer];
+  return ctx.conns[peer].get(ep, peer, ctx.conn_wait);
 }
 
 void System::spawn_client(int node, std::string name,

@@ -132,10 +132,6 @@ struct KvConfig {
   /// window so tests can deterministically exercise the GET retry path.
   sim::Time put_pause = 0;
 
-  /// When false, GET becomes a server-mediated RPC like PUT (differential
-  /// baseline for the one-sided path).
-  bool one_sided_get = true;
-
   /// Client-side connection strategy (see ConnMode). Server-side traffic
   /// (replication, responses, acks) always uses the shared per-node cache.
   ConnMode conn_mode = ConnMode::kShared;
@@ -279,7 +275,7 @@ class Server {
 
   struct ApplyResult {
     Status status = Status::kOk;
-    std::string value;  // GET-RPC result
+    std::string value;  // local GET result
   };
 
   void handle_request(Endpoint& ep, const Notification& n);
@@ -298,7 +294,7 @@ class Server {
                  std::string_view key, std::string_view value,
                  std::uint64_t seq, int client_node, int cslot);
   void respond(Endpoint& ep, int client_node, int cslot, std::uint64_t seq,
-               Status st, std::string_view value);
+               Status st);
 
   int find_in_bucket(int partition, std::uint64_t bucket_entry,
                      std::string_view key) const;  // index into chain, -1
@@ -356,8 +352,7 @@ class Client {
  private:
   /// Uniform shed path: record the rejection + its retry-after hint.
   Status shed(const ClientOpRef& r);
-  Status rpc(std::uint32_t op, std::string_view key, std::string_view value,
-             std::string* out);
+  Status rpc(std::uint32_t op, std::string_view key, std::string_view value);
   Status one_sided_get(std::string_view key, std::string* out);
   /// Pick a GET landing-buffer set with no read still in flight (a timed-out
   /// read completing late must never scribble over the set being validated
@@ -451,8 +446,7 @@ class System {
 
   struct NodeCtx {
     std::unique_ptr<Server> server;
-    std::vector<Connection> conns;      // shared per-node connection cache
-    std::vector<bool> connecting;
+    std::vector<SharedConnection> conns;  // shared per-node connection cache
     sim::WaitQueue conn_wait;
     int next_cslot = 0;
     stats::Counters client_counters;    // merged at client fiber exit

@@ -4,7 +4,20 @@
 #include <cstdlib>
 #include <utility>
 
+#ifdef MULTIEDGE_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace multiedge::sim {
+
+#ifdef MULTIEDGE_ASAN_FIBERS
+namespace {
+// The main context's stack, learned on the first switch into a fiber: every
+// fiber yields back to it.
+const void* main_stack_bottom = nullptr;
+std::size_t main_stack_bytes = 0;
+}  // namespace
+#endif
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
     : body_(std::move(body)), stack_(new char[stack_bytes]) {
@@ -13,6 +26,9 @@ Fiber::Fiber(Body body, std::size_t stack_bytes)
   ctx_.uc_stack.ss_size = stack_bytes;
   ctx_.uc_link = &return_ctx_;
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+#ifdef MULTIEDGE_ASAN_FIBERS
+  stack_bytes_ = stack_bytes;
+#endif
 }
 
 Fiber::~Fiber() {
@@ -24,8 +40,16 @@ Fiber::~Fiber() {
 
 void Fiber::trampoline() {
   Fiber* self = current_;
+#ifdef MULTIEDGE_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &main_stack_bottom,
+                                  &main_stack_bytes);
+#endif
   self->body_();
   self->done_ = true;
+#ifdef MULTIEDGE_ASAN_FIBERS
+  // A null save slot tells ASan this fiber's stack is gone for good.
+  __sanitizer_start_switch_fiber(nullptr, main_stack_bottom, main_stack_bytes);
+#endif
   // Returning lets ucontext switch to uc_link (return_ctx_), i.e. back to
   // whoever resumed us, with current_ already reset by resume().
 }
@@ -35,7 +59,14 @@ void Fiber::resume() {
   assert(!done_);
   started_ = true;
   current_ = this;
+#ifdef MULTIEDGE_ASAN_FIBERS
+  void* main_fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&main_fake_stack, stack_.get(), stack_bytes_);
+#endif
   swapcontext(&return_ctx_, &ctx_);
+#ifdef MULTIEDGE_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(main_fake_stack, nullptr, nullptr);
+#endif
   current_ = nullptr;
 }
 
@@ -43,7 +74,15 @@ void Fiber::yield() {
   Fiber* self = current_;
   assert(self != nullptr && "yield() called outside any fiber");
   current_ = nullptr;
+#ifdef MULTIEDGE_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&self->asan_fake_stack_, main_stack_bottom,
+                                 main_stack_bytes);
+#endif
   swapcontext(&self->ctx_, &self->return_ctx_);
+#ifdef MULTIEDGE_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(self->asan_fake_stack_, &main_stack_bottom,
+                                  &main_stack_bytes);
+#endif
   // When resumed, resume() has set current_ back to self.
 }
 

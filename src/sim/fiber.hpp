@@ -15,6 +15,17 @@
 #include <memory>
 #include <string>
 
+// AddressSanitizer must be told about every switch between fiber stacks, or
+// it misreads them (an exception unwinding inside a fiber trips a false
+// stack-buffer-underflow). The annotations compile only under ASan.
+#if defined(__SANITIZE_ADDRESS__)
+#define MULTIEDGE_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MULTIEDGE_ASAN_FIBERS 1
+#endif
+#endif
+
 namespace multiedge::sim {
 
 class Fiber {
@@ -52,6 +63,10 @@ class Fiber {
   ucontext_t return_ctx_{};
   bool started_ = false;
   bool done_ = false;
+#ifdef MULTIEDGE_ASAN_FIBERS
+  std::size_t stack_bytes_ = 0;
+  void* asan_fake_stack_ = nullptr;  // saved while the fiber is suspended
+#endif
 
   inline static Fiber* current_ = nullptr;
 };

@@ -185,7 +185,6 @@ std::uint32_t Broker::credit_cost(const SvcOp& op) const {
 }
 
 std::uint32_t Broker::effective_credit_limit(int node) const {
-  if (!cfg_.rail_aware) return credits_per_conn_;
   const sim::Time now = cluster_.sim().now();
   double worst = 0.0;
   for (int r = 0; r < cluster_.config().topology.rails; ++r) {
@@ -203,20 +202,9 @@ Broker::Slot& Broker::slot_for(Endpoint& ep, NodeState& ns, int peer,
                                int tenant_id) {
   PeerPool& pool = ns.pools[peer];
   Slot& s = pool.slots[tenant_id % cfg_.conns_per_peer];
-  // Lazy establishment; racing fibers wait for the first handshake instead
-  // of opening duplicates (same discipline as kv::System::conn_to).
-  while (!s.conn.valid()) {
-    if (!s.connecting) {
-      s.connecting = true;
-      Connection c = ep.connect(peer);
-      s.conn = c;
-      s.connecting = false;
-      ns.counters.add(kCtrConnsOpened);
-      ns.conn_wait.notify_all();
-    } else {
-      ns.conn_wait.wait();
-    }
-  }
+  bool opened = false;
+  s.conn.get(ep, peer, ns.conn_wait, &opened);
+  if (opened) ns.counters.add(kCtrConnsOpened);
   return s;
 }
 
@@ -226,18 +214,17 @@ void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   // The proto op adopts the svc span as its parent; the svc span itself was
   // parented on whatever the tenant fiber had current at submit time.
   const trace::SpanScope scope(op->ctx);
+  Connection& conn = slot.conn.connection();
   OpHandle h;
   switch (op->kind) {
     case SvcOp::Kind::kWrite:
-      h = slot.conn.rdma_write(op->remote_va, op->local_va, op->bytes,
-                               op->flags);
+      h = conn.rdma_write(op->remote_va, op->local_va, op->bytes, op->flags);
       break;
     case SvcOp::Kind::kRead:
-      h = slot.conn.rdma_read(op->local_va, op->remote_va, op->bytes,
-                              op->flags);
+      h = conn.rdma_read(op->local_va, op->remote_va, op->bytes, op->flags);
       break;
     case SvcOp::Kind::kGatherRead:
-      h = slot.conn.rdma_gather_read(op->segs, op->remote_va, op->flags);
+      h = conn.rdma_gather_read(op->segs, op->remote_va, op->flags);
       break;
   }
   op->handle = h;
@@ -362,7 +349,7 @@ void Broker::dispatch_loop(Endpoint& ep) {
 bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
   bool any = false;
   const std::uint32_t limit = effective_credit_limit(ep.node_id());
-  if (cfg_.rail_aware && limit < credits_per_conn_) {
+  if (limit < credits_per_conn_) {
     ns.counters.add(kCtrRailThrottled);
   }
   for (int peer = 0; peer < static_cast<int>(ns.pools.size()); ++peer) {

@@ -78,11 +78,6 @@ struct BrokerConfig {
   /// DRR byte quantum added to a tenant queue's deficit per service visit
   /// (multiplied by the tenant's weight — Tenant::set_weight).
   std::uint32_t drr_quantum_bytes = 4096;
-  /// Scale pooled-connection credits down while the node's worst egress
-  /// rail is sick (see trace::RailHealth::Snapshot::score). A connection
-  /// with nothing in flight still takes one op, so a shrunken limit delays
-  /// work but never strands it.
-  bool rail_aware = true;
 };
 
 class Broker;
@@ -213,8 +208,7 @@ class Broker {
   friend class Tenant;
 
   struct Slot {
-    Connection conn;
-    bool connecting = false;
+    SharedConnection conn;
     std::uint32_t credits_used = 0;
   };
   struct TenantQueue {
@@ -252,7 +246,8 @@ class Broker {
   std::uint32_t credit_cost(const SvcOp& op) const;
   /// Whether `slot` has the credits to take `op` under `limit`.
   bool fits(const Slot& slot, const SvcOp& op, std::uint32_t limit) const;
-  /// Per-connection credit limit, shrunk by rail health when rail_aware.
+  /// Per-connection credit limit, shrunk while the node's worst egress rail
+  /// is sick (see trace::RailHealth::Snapshot::score).
   std::uint32_t effective_credit_limit(int node) const;
   void on_tenant_closed();
 

@@ -80,30 +80,6 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppCorrectness,
                            return n;
                          });
 
-// The opt-in collective paths (FFT transpose, Radix permutation over
-// all_to_all_v) must be checksum-identical to the page-fault DSM paths.
-class AppCollEquivalence : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(AppCollEquivalence, ChecksumMatchesDsmPath) {
-  const std::string app = GetParam();
-  AppParams p = tiny(app);
-  HarnessOptions o = small_1l_1g();
-  const AppRunResult plain = run_app(o, app, p, 4);
-  p.use_coll = true;
-  const AppRunResult coll = run_app(o, app, p, 4);
-  EXPECT_EQ(plain.checksum, coll.checksum) << app;
-  // Also across node counts and an uneven division (3 does not divide the
-  // FFT row count or the Radix key count evenly).
-  const AppRunResult coll3 = run_app(o, app, p, 3);
-  EXPECT_EQ(plain.checksum, coll3.checksum) << app;
-}
-
-INSTANTIATE_TEST_SUITE_P(CollApps, AppCollEquivalence,
-                         ::testing::Values("FFT", "Radix"),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           return i.param;
-                         });
-
 TEST(AppHarness, BreakdownCoversParallelTime) {
   HarnessOptions o = small_1l_1g();
   const AppRunResult r = run_app(o, "FFT", tiny("FFT"), 4);

@@ -13,8 +13,6 @@
 
 #include "coll/coll.hpp"
 #include "core/api.hpp"
-#include "dsm/dsm.hpp"
-#include "dsm/shared_array.hpp"
 #include "member/member.hpp"
 
 namespace multiedge {
@@ -517,93 +515,6 @@ TEST(CollMemberTest, RankDeclaredDeadByEveryPeerExitsWithPeerFailure) {
   }
   EXPECT_EQ(failed_on[victim], victim) << "the victim blames itself";
   EXPECT_GT(svc.counters(victim).get("member_self_declared_dead"), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// DSM integration: barrier() over the collective communicator must be
-// observably equivalent to the centralized manager protocol.
-// ---------------------------------------------------------------------------
-
-// Multi-stage pipeline where every stage depends on all prior barriers
-// publishing the previous stage's writes. Returns the final array contents.
-std::vector<int> run_dsm_pipeline(bool use_coll_barrier, bool use_fences) {
-  ClusterConfig ccfg = use_fences ? config_2lu_1g(4) : config_2l_1g(4);
-  CheckedCluster cluster(std::move(ccfg));
-  dsm::DsmConfig cfg;
-  cfg.shared_bytes = 2 << 20;
-  cfg.use_fences = use_fences;
-  cfg.use_coll_barrier = use_coll_barrier;
-  dsm::DsmSystem sys(cluster, cfg);
-  constexpr std::size_t kN = 16384;
-  const std::uint64_t va = sys.shared_alloc(kN * sizeof(int), 4096);
-
-  std::vector<int> out(kN, -1);
-  sys.run([&](dsm::Dsm& d) {
-    dsm::SharedArray<int> a(&d, va, kN);
-    if (d.rank() == 0) {
-      int* w = a.write(0, kN);
-      for (std::size_t i = 0; i < kN; ++i) w[i] = static_cast<int>(i % 89);
-    }
-    d.barrier();
-    for (int stage = 0; stage < d.num_nodes(); ++stage) {
-      if (d.rank() == stage) {
-        // Each stage writes a disjoint shifted quarter, so every barrier
-        // must propagate notices from a different writer to all readers.
-        const std::size_t lo = stage * (kN / 4), n = kN / 4;
-        int* w = a.write(lo, n);
-        for (std::size_t i = 0; i < n; ++i) w[i] = w[i] * 5 + stage;
-      }
-      d.barrier();
-    }
-    const int* r = a.read(0, kN);
-    if (d.rank() == 1) std::copy(r, r + kN, out.begin());
-    for (std::size_t i = 0; i < kN; ++i) {
-      const int stage = static_cast<int>(i / (kN / 4));
-      ASSERT_EQ(r[i], static_cast<int>(i % 89) * 5 + stage) << i;
-    }
-    d.barrier();
-  });
-  return out;
-}
-
-TEST(DsmCollBarrierTest, MatchesCentralizedBarrierResults) {
-  const std::vector<int> central = run_dsm_pipeline(false, false);
-  const std::vector<int> coll = run_dsm_pipeline(true, false);
-  EXPECT_EQ(central, coll);
-}
-
-TEST(DsmCollBarrierTest, MatchesCentralizedUnderFences) {
-  const std::vector<int> central = run_dsm_pipeline(false, true);
-  const std::vector<int> coll = run_dsm_pipeline(true, true);
-  EXPECT_EQ(central, coll);
-}
-
-TEST(DsmCollBarrierTest, WorkerCanMixCollectivesWithDsmTraffic) {
-  // enable_coll gives the worker a Communicator whose tagged traffic shares
-  // the wire with DSM mailbox messages (tag 0) without interference.
-  CheckedCluster cluster(config_2l_1g(4));
-  dsm::DsmConfig cfg;
-  cfg.shared_bytes = 1 << 20;
-  cfg.use_coll_barrier = true;  // implies enable_coll
-  dsm::DsmSystem sys(cluster, cfg);
-  const std::uint64_t va = sys.shared_alloc(4096, 4096);
-
-  sys.run([&](dsm::Dsm& d) {
-    ASSERT_NE(d.comm(), nullptr);
-    Endpoint& ep = d.endpoint();
-    const std::uint64_t buf = ep.memory().alloc(sizeof(double), 64);
-    *ep.memory().as<double>(buf) = static_cast<double>(d.rank() + 1);
-    d.comm()->all_reduce(buf, 1, coll::DType::kF64, coll::ReduceOp::kSum);
-    const int n = d.num_nodes();
-    EXPECT_DOUBLE_EQ(*ep.memory().as<double>(buf),
-                     static_cast<double>(n * (n + 1) / 2));
-
-    dsm::SharedArray<int> a(&d, va, 64);
-    if (d.rank() == 0) *a.write(0, 1) = 4242;
-    d.barrier();
-    EXPECT_EQ(*a.read(0, 1), 4242);
-    d.barrier();
-  });
 }
 
 }  // namespace

@@ -227,25 +227,47 @@ INSTANTIATE_TEST_SUITE_P(TopologiesNodes, KvDifferentialTest,
                                             ::testing::Values(2, 5, 16)),
                          kv_param_name);
 
-// Same semantics with the one-sided GET path disabled (server-mediated GET
-// RPCs): the two read paths must be observably equivalent.
-TEST(KvDifferentialTest, RpcGetPathMatchesReferenceMap) {
-  CheckedCluster cluster(config_2l_1g(3));
+// kShared: client fibers racing their first op to the same remote primary
+// share ONE lazily opened connection — the racers park on the node's wait
+// queue until the first handshake completes instead of opening duplicates.
+TEST(KvConnTest, RacingSharedClientsOpenOneConnection) {
+  constexpr int kClients = 4;
+  CheckedCluster cluster(config_2l_1g(2));
   kv::KvConfig cfg;
-  cfg.clients_per_node = 1;
-  cfg.one_sided_get = false;
+  cfg.replication = 1;  // no replication traffic between the two servers
+  cfg.clients_per_node = kClients;
+  // Membership opens a connection of its own when it probes a peer it has
+  // none to. With a 10 s probe period its first round comes long after the
+  // race, so every connection node 0 initiates below is the KV layer's.
+  cfg.heartbeat_period = sim::sec(10);
+  cfg.failure_timeout = sim::sec(20);
   kv::System sys(cluster, cfg);
 
-  std::mt19937 rng(99);
-  std::vector<std::vector<OpSpec>> tapes;
-  for (int node = 0; node < 3; ++node) tapes.push_back(make_tape(node, 24, rng));
-  for (int node = 0; node < 3; ++node) {
-    sys.spawn_client(node, "cli", [&tapes, node](kv::Client& cl) {
-      run_tape(cl, tapes[node]);
+  std::string key;  // primary on node 1
+  for (int i = 0; key.empty() && i < 10000; ++i) {
+    std::string k = "race-" + std::to_string(i);
+    if (sys.ring().replicas(sys.ring().partition_of(kv::fnv1a64(k)))[0] == 1) {
+      key = k;
+    }
+  }
+  ASSERT_FALSE(key.empty());
+
+  for (int c = 0; c < kClients; ++c) {
+    sys.spawn_client(0, "cli", [&key](kv::Client& cl) {
+      std::string got;
+      EXPECT_EQ(cl.get(key, &got), kv::Status::kNotFound);
     });
   }
   cluster.run();
-  EXPECT_EQ(sys.aggregate_counters().get("kv_get_torn"), 0u);
+
+  ASSERT_EQ(sys.membership().counters(0).get("member_msgs_sent"), 0u);
+  int kv_conns = 0;
+  for (const auto& c : cluster.engine(0).connections()) {
+    if (c->initiator() && c->peer_node() == 1) ++kv_conns;
+  }
+  EXPECT_EQ(kv_conns, 1);
+  EXPECT_EQ(sys.aggregate_counters().get("kv_gets"),
+            static_cast<std::uint64_t>(kClients));
 }
 
 // ---------------------------------------------------------------------------

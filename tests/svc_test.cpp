@@ -597,6 +597,8 @@ TEST(SvcKvTest, ExactlyOnceUnderBurstLossAndRailOutage) {
   EXPECT_GT(agg.get("svc_ops_submitted"), 0u);
   EXPECT_GT(agg.get("kv_repl_acked"), 0u);
   EXPECT_EQ(agg.get("kv_peers_marked_down"), 0u);
+  // The lossy, outaged rails must have shrunk the pooled credit limit.
+  EXPECT_GT(agg.get("svc_rail_throttled"), 0u);
   // Exactly-once: duplicate deliveries (timeout resends racing the original
   // under loss) are absorbed by the seq table, never applied twice. The
   // in-tape value checks above are the semantic assertion; the counter
