@@ -53,7 +53,6 @@ using namespace multiedge;
 ClusterConfig member_config(int nodes) {
   ClusterConfig cfg = config_1l_1g(nodes);
   if (nodes > 16) {
-    cfg.memory_bytes_per_node = std::size_t{2} << 20;
     cfg.topology.edge_groups = nodes >= 128 ? 8 : 4;
     if (nodes >= 128) cfg.topology.spines = 2;
   }
@@ -64,7 +63,6 @@ ClusterConfig member_config(int nodes) {
 // each one a two-level tree (fat-tree past 16 nodes).
 ClusterConfig fabric_config(int nodes) {
   ClusterConfig cfg = config_2l_1g(nodes);
-  cfg.memory_bytes_per_node = std::size_t{4} << 20;
   cfg.topology.edge_groups = nodes > 16 ? 8 : 4;
   if (nodes > 16) cfg.topology.spines = 2;
   return cfg;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <iostream>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,15 +67,19 @@ constexpr double kMinSmallOpSpeedup = 1.3;
 struct RunStats {
   std::uint64_t frames = 0;  // data + explicit ack frames put on the wire
   std::uint64_t events = 0;  // simulator events executed
-  double wall_ms = 0;
+  double wall_ms = 0;  // cluster.run() only
+  double build_ms = 0;
+  double teardown_ms = 0;
   double sim_ms = 0;
   std::uint64_t counters_fnv = 0;  // fingerprint of aggregate counters
 };
 
-// One full run of `w` on a fresh cluster. The whole run is timed (setup and
-// handshake included; both are negligible against `messages` transfers).
+// One full run of `w` on a fresh cluster, timed in three phases: build
+// (construction, allocs, spawns), run (handshake included) and teardown.
 RunStats run_workload(const Workload& w) {
-  Cluster cluster(w.cfg);
+  const auto b0 = std::chrono::steady_clock::now();
+  auto owned = std::make_unique<Cluster>(w.cfg);
+  Cluster& cluster = *owned;
   const auto size = static_cast<std::uint32_t>(w.msg_bytes);
   const std::uint64_t src0 = cluster.memory(0).alloc(w.msg_bytes);
   const std::uint64_t dst0 = cluster.memory(0).alloc(w.msg_bytes);
@@ -124,11 +129,17 @@ RunStats run_workload(const Workload& w) {
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.sim_ms = sim::to_us(cluster.sim().now()) / 1000.0;
   r.counters_fnv = bench::counters_fingerprint(all);
+  const auto d0 = std::chrono::steady_clock::now();
+  owned.reset();
+  r.build_ms = std::chrono::duration<double, std::milli>(t0 - b0).count();
+  r.teardown_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - d0).count();
   return r;
 }
 
-// Best-of-N wall time; frames/events/fingerprint must not vary across
-// repeats (same seed), so they are taken from the first run and checked.
+// Best-of-N wall, build and teardown times; frames/events/fingerprint must
+// not vary across repeats (same seed), so they are taken from the first run
+// and checked.
 RunStats measure(const Workload& w, int repeat) {
   RunStats best = run_workload(w);
   for (int i = 1; i < repeat; ++i) {
@@ -139,6 +150,8 @@ RunStats measure(const Workload& w, int repeat) {
       std::exit(2);
     }
     best.wall_ms = std::min(best.wall_ms, r.wall_ms);
+    best.build_ms = std::min(best.build_ms, r.build_ms);
+    best.teardown_ms = std::min(best.teardown_ms, r.teardown_ms);
   }
   return best;
 }
@@ -161,8 +174,9 @@ int main(int argc, char** argv) {
             << "frames = data+ack frames on the wire; events = simulator "
                "events executed; best of " << repeat << " runs\n\n";
 
-  stats::Table t({"workload", "frames", "events", "wall(ms)", "sim(ms)",
-                  "Kframes/s", "Kevents/s", "counters"});
+  stats::Table t({"workload", "frames", "events", "wall(ms)", "build_ms",
+                  "teardown_ms", "sim(ms)", "Kframes/s", "Kevents/s",
+                  "counters"});
   std::vector<std::pair<Workload, RunStats>> results;
   RunStats total;
   for (const Workload& w : workloads(quick)) {
@@ -176,6 +190,8 @@ int main(int argc, char** argv) {
         .cell(r.frames)
         .cell(r.events)
         .cell(r.wall_ms, 1)
+        .cell(r.build_ms, 2)
+        .cell(r.teardown_ms, 2)
         .cell(r.sim_ms, 1)
         .cell(per_sec(r.frames, r.wall_ms) / 1e3, 1)
         .cell(per_sec(r.events, r.wall_ms) / 1e3, 1)
@@ -252,6 +268,8 @@ int main(int argc, char** argv) {
       out << "    {\"name\": \"" << w.name << "\", \"frames\": " << r.frames
           << ", \"events\": " << r.events
           << ", \"wall_ms\": " << stats::json::number(r.wall_ms)
+          << ", \"build_ms\": " << stats::json::number(r.build_ms)
+          << ", \"teardown_ms\": " << stats::json::number(r.teardown_ms)
           << ", \"sim_ms\": " << stats::json::number(r.sim_ms)
           << ", \"frames_per_sec\": "
           << stats::json::number(per_sec(r.frames, r.wall_ms))

@@ -85,6 +85,7 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
     BGEN_ARGS+=(-G Ninja)
   fi
   echo "== bench smoke ($BENCH_DIR, Release)"
+  BENCH_T0=$SECONDS
   cmake -B "$BENCH_DIR" -S . "${BGEN_ARGS[@]}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BENCH_DIR" -j "$(nproc)" --target simspeed --target coll_bench \
     --target kv_bench --target svc_bench --target scale_bench --target rma_bench
@@ -121,6 +122,7 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   # nodes, and KV/collective scaling on hierarchical fabrics, against the
   # committed BENCH_scale.json (full sweep: the 128-node rows ARE the gate).
   "$BENCH_DIR"/bench/scale_bench --check=BENCH_scale.json
+  echo "== bench smoke: $((SECONDS - BENCH_T0)) s wall (build included)"
 fi
 
 echo "== OK"

@@ -205,8 +205,7 @@ KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg, const Ring& ring)
       align64(sizeof(RecordHeader) + cfg.max_key_bytes + cfg.max_value_bytes));
   req_stride_ = static_cast<std::uint32_t>(
       align64(sizeof(ReqHeader) + cfg.max_key_bytes + cfg.max_value_bytes));
-  resp_stride_ = static_cast<std::uint32_t>(
-      align64(sizeof(RespHeader) + cfg.max_value_bytes));
+  resp_stride_ = static_cast<std::uint32_t>(align64(sizeof(RespHeader)));
   get_buf_stride_ = static_cast<std::uint32_t>(
       align64(bucket_entry_bytes_) +
       std::uint64_t{cfg.chain_slots} * record_stride_);

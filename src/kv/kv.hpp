@@ -152,7 +152,6 @@ class KvDomain {
   std::uint32_t bucket_entry_bytes() const { return bucket_entry_bytes_; }
   std::uint32_t record_stride() const { return record_stride_; }
   std::uint32_t req_stride() const { return req_stride_; }
-  std::uint32_t resp_stride() const { return resp_stride_; }
 
   // --- store regions ---
   std::uint64_t bucket_entry_va(int partition, std::uint32_t bucket) const {

@@ -123,7 +123,6 @@ TEST(MemberConvergence, CrashDetected16FlatSwitch) {
 
 TEST(MemberConvergence, CrashDetected64TwoLevelTree) {
   ClusterConfig cfg = config_1l_1g(64);
-  cfg.memory_bytes_per_node = std::size_t{2} << 20;
   cfg.topology.edge_groups = 4;  // 64 nodes behind 4 edge switches + 1 core
   const CrashOutcome out = run_crash(std::move(cfg), {}, sim::ms(2));
   EXPECT_TRUE(out.converged);
@@ -132,7 +131,6 @@ TEST(MemberConvergence, CrashDetected64TwoLevelTree) {
 
 TEST(MemberConvergence, CrashDetected128FatTree) {
   ClusterConfig cfg = config_1l_1g(128);
-  cfg.memory_bytes_per_node = std::size_t{2} << 20;
   cfg.topology.edge_groups = 8;  // fat-tree pod: 8 edges x 2 spines
   cfg.topology.spines = 2;
   const CrashOutcome out = run_crash(std::move(cfg), {}, sim::ms(2));

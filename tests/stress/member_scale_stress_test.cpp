@@ -44,7 +44,6 @@ void run_scale_scenario(std::uint64_t seed) {
   ClusterConfig ccfg = config_2l_1g(kNodes);
   ccfg.topology.edge_groups = 8;  // fat-tree pod: 8 edges x 2 spines per rail
   ccfg.topology.spines = 2;
-  ccfg.memory_bytes_per_node = std::size_t{4} << 20;
   ccfg.protocol.check_invariants = true;
   // Black-box ring: a red run ships a replayable postmortem (last-N events,
   // counters, rail health, membership views) instead of just a log line.
