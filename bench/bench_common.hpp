@@ -179,28 +179,31 @@ inline void merge_engine_counters(ClusterT& cluster, int nodes,
   }
 }
 
-/// Simulator events per KV client op (GET/PUT/DELETE, preload included)
-/// over the whole run: a deterministic count of host work per op. `kv` is
-/// the kv::System's aggregate counters. The kv and svc benches hold every
-/// row under a fixed ceiling, so a sim-time poll loop (one timer event and
-/// one fiber switch per tick per waiting fiber) fails the gate even though
-/// it barely moves modelled latency.
-template <typename ClusterT>
-inline double kv_events_per_op(ClusterT& cluster, const stats::Counters& kv) {
+/// `n` per KV client op (GET/PUT/DELETE, preload included); `kv` is the
+/// kv::System's aggregate counters.
+inline double kv_per_op(std::uint64_t n, const stats::Counters& kv) {
   const std::uint64_t ops =
       kv.get("kv_gets") + kv.get("kv_puts") + kv.get("kv_dels");
-  return ops ? static_cast<double>(cluster.sim().events_executed()) /
-                   static_cast<double>(ops)
-             : 0.0;
+  return ops ? static_cast<double>(n) / static_cast<double>(ops) : 0.0;
 }
 
-/// Gate for kv_events_per_op: false (with a message) above `ceiling`.
-inline bool check_events_per_op(const std::string& name, double value,
-                                double ceiling) {
+/// Simulator events per KV client op over the whole run: a deterministic
+/// count of host work per op. The kv and svc benches hold every row under a
+/// fixed ceiling, so a sim-time poll loop (one timer event and one fiber
+/// switch per tick per waiting fiber) fails the gate even though it barely
+/// moves modelled latency.
+template <typename ClusterT>
+inline double kv_events_per_op(ClusterT& cluster, const stats::Counters& kv) {
+  return kv_per_op(cluster.sim().events_executed(), kv);
+}
+
+/// Gate for a deterministic per-op host-work count (`what`: "simulator
+/// events", "heap allocations"): false (with a message) above `ceiling`.
+inline bool check_per_op(const std::string& name, const char* what,
+                         double value, double ceiling) {
   if (value <= ceiling) return true;
-  std::cerr << "CHECK FAIL: " << name << " costs " << value
-            << " simulator events per op, above the ceiling " << ceiling
-            << " (is a wait spinning on sim time?)\n";
+  std::cerr << "CHECK FAIL: " << name << " costs " << value << ' ' << what
+            << " per op, above the ceiling " << ceiling << '\n';
   return false;
 }
 

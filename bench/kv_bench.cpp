@@ -17,7 +17,8 @@
 //     exceed 1.25x the committed baseline (the simulation is deterministic,
 //     so drift means the protocol or store changed, not noise);
 //   * host work stays bounded: every row costs at most kMaxEventsPerOp
-//     simulator events per KV op (no wait spins on simulated time).
+//     simulator events per KV op (no wait spins on simulated time) and at
+//     most kMaxAllocsPerOp heap allocations per KV op.
 //
 // Usage: kv_bench [--quick] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_kv.json artifact.
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "bench_common.hpp"
 #include "core/api.hpp"
 #include "kv/kv.hpp"
@@ -53,6 +55,11 @@ constexpr double kMinPutSmallSpeedup = 1.3;
 // Ceiling on simulator events per KV op, every row (bench_common.hpp
 // kv_events_per_op; enforced on every run and on --check).
 constexpr double kMaxEventsPerOp = 150;
+
+// Ceiling on heap allocations (global operator new, alloc_count.hpp) made
+// inside cluster.run() per KV op, every row; enforced like kMaxEventsPerOp.
+// About 1.2x the costliest row (13.4, kv-zipf-95g-2L-1G-n8).
+constexpr double kMaxAllocsPerOp = 16;
 
 struct Workload {
   std::string name;
@@ -176,6 +183,7 @@ struct Result {
   std::uint64_t put_p50 = 0, put_p99 = 0;
   std::uint64_t offered = 0, late = 0, rejected = 0;  // open-loop rows only
   double events_per_op = 0;
+  double allocs_per_op = 0;
   std::uint64_t counters_fnv = 0;
 };
 
@@ -300,7 +308,9 @@ Result run_workload(const Workload& w) {
       });
     }
   }
+  const std::uint64_t allocs0 = bench::alloc_count();
   cluster.run();
+  const std::uint64_t allocs = bench::alloc_count() - allocs0;
 
   r.sim_ms = sim::to_us(t1 - t0) / 1000.0;
   const double ops = static_cast<double>(r.gets + r.puts);
@@ -324,6 +334,7 @@ Result run_workload(const Workload& w) {
 
   stats::Counters all = sys.aggregate_counters();
   r.events_per_op = bench::kv_events_per_op(cluster, all);
+  r.allocs_per_op = bench::kv_per_op(allocs, all);
   bench::merge_engine_counters(cluster, w.nodes, all);
   r.counters_fnv = bench::counters_fingerprint(all);
   return r;
@@ -347,7 +358,10 @@ bool check_headlines(const std::vector<std::pair<Workload, Result>>& rs) {
                 << " failed ops\n";
       ok = false;
     }
-    ok &= bench::check_events_per_op(w.name, r.events_per_op, kMaxEventsPerOp);
+    ok &= bench::check_per_op(w.name, "simulator events", r.events_per_op,
+                              kMaxEventsPerOp);
+    ok &= bench::check_per_op(w.name, "heap allocations", r.allocs_per_op,
+                              kMaxAllocsPerOp);
   }
   const Result* one = find(rs, "kv-zipf-95g-1L-1G-n4");
   const Result* two = find(rs, "kv-zipf-95g-2L-1G-n4");
@@ -399,7 +413,7 @@ int main(int argc, char** argv) {
 
   stats::Table t({"workload", "clients", "ops", "sim(ms)", "Kops/s",
                   "GET Kops/s", "GETp50(us)", "GETp95", "GETp99", "PUTp99",
-                  "ev/op", "counters"});
+                  "ev/op", "allocs/op", "counters"});
   std::vector<std::pair<Workload, Result>> results;
   for (const Workload& w : workloads(args.quick)) {
     Result r = run_workload(w);
@@ -416,6 +430,7 @@ int main(int argc, char** argv) {
         .cell(us(r.get_p99), 1)
         .cell(us(r.put_p99), 1)
         .cell(r.events_per_op, 1)
+        .cell(r.allocs_per_op, 1)
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
@@ -439,7 +454,8 @@ int main(int argc, char** argv) {
           << ", \"get_p99_us\": " << stats::json::number(us(r.get_p99))
           << ", \"put_p50_us\": " << stats::json::number(us(r.put_p50))
           << ", \"put_p99_us\": " << stats::json::number(us(r.put_p99))
-          << ", \"events_per_op\": " << stats::json::number(r.events_per_op);
+          << ", \"events_per_op\": " << stats::json::number(r.events_per_op)
+          << ", \"allocs_per_op\": " << stats::json::number(r.allocs_per_op);
       if (w.open_loop) {
         out << ", \"offered\": " << r.offered << ", \"shed_late\": " << r.late
             << ", \"shed_rejected\": " << r.rejected;
@@ -459,7 +475,8 @@ int main(int argc, char** argv) {
         << ", \"speedup\": " << stats::json::number(up)
         << ", \"min_speedup\": " << stats::json::number(kMinPutSmallSpeedup)
         << "},\n  \"max_events_per_op\": "
-        << stats::json::number(kMaxEventsPerOp) << "\n}\n";
+        << stats::json::number(kMaxEventsPerOp) << ",\n  \"max_allocs_per_op\": "
+        << stats::json::number(kMaxAllocsPerOp) << "\n}\n";
     std::cout << "wrote " << args.json_path << '\n';
   }
 

@@ -5,6 +5,10 @@
 // events/sec, plus an FNV-1a fingerprint of the protocol counters so a
 // speedup can be shown to come with bit-identical protocol behavior.
 //
+// Every run also counts heap allocations per write inside cluster.run()
+// (alloc_count.hpp) and exits non-zero if a workload exceeds its fixed
+// ceiling: a deterministic host-work count, unlike the wall-clock rates.
+//
 // Usage: simspeed [--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_simspeed.json artifact.
 //   --check  loads a previously committed artifact, reruns the workloads,
@@ -20,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "bench_common.hpp"
 #include "core/api.hpp"
 #include "stats/json.hpp"
@@ -35,6 +40,9 @@ struct Workload {
   bool two_way = false;
   std::size_t msg_bytes = 64 * 1024;
   int messages = 256;
+  // Ceiling on heap allocations inside cluster.run() per rdma_write,
+  // enforced on every run (see alloc_count.hpp).
+  double max_allocs_per_op = 0;
 };
 
 std::vector<Workload> workloads(bool quick) {
@@ -51,12 +59,16 @@ std::vector<Workload> workloads(bool quick) {
   batched.protocol.batch_submission = true;
   batched.protocol.submit_ring_slots = 16;
   batched.protocol.signal_interval = 32;
+  // Allocation ceilings sit about 1.2x above the larger of the --quick and
+  // full counts (oneway 53.5, twoway 42.6, retx 39.1, smallop 1.3). A 64 KiB
+  // write costs more because the burst's frames outgrow the frame pool's
+  // idle list.
   return {
-      {"oneway-1L-1G", config_1l_1g(2), false, 64 * 1024, msgs},
-      {"twoway-2Lu-1G", config_2lu_1g(2), true, 64 * 1024, msgs},
-      {"retx-2L-1G-drop1", lossy, false, 64 * 1024, msgs},
-      {"smallop-unbatched", config_1l_1g(2), false, 64, small_ops},
-      {"smallop-batched", batched, false, 64, small_ops},
+      {"oneway-1L-1G", config_1l_1g(2), false, 64 * 1024, msgs, 64},
+      {"twoway-2Lu-1G", config_2lu_1g(2), true, 64 * 1024, msgs, 51},
+      {"retx-2L-1G-drop1", lossy, false, 64 * 1024, msgs, 47},
+      {"smallop-unbatched", config_1l_1g(2), false, 64, small_ops, 1.6},
+      {"smallop-batched", batched, false, 64, small_ops, 1.6},
   };
 }
 
@@ -67,6 +79,7 @@ constexpr double kMinSmallOpSpeedup = 1.3;
 struct RunStats {
   std::uint64_t frames = 0;  // data + explicit ack frames put on the wire
   std::uint64_t events = 0;  // simulator events executed
+  double allocs_per_op = 0;  // heap allocations in cluster.run() per write
   double wall_ms = 0;  // cluster.run() only
   double build_ms = 0;
   double teardown_ms = 0;
@@ -116,9 +129,11 @@ RunStats run_workload(const Workload& w) {
     cluster.spawn(0, "fin", [&](Endpoint& ep) { ep.wait_notification(); });
   }
 
+  const std::uint64_t allocs0 = bench::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
   cluster.run();
   const auto t1 = std::chrono::steady_clock::now();
+  const std::uint64_t allocs = bench::alloc_count() - allocs0;
 
   stats::Counters all = cluster.engine(0).aggregate_counters();
   all.merge(cluster.engine(1).aggregate_counters());
@@ -126,6 +141,8 @@ RunStats run_workload(const Workload& w) {
   RunStats r;
   r.frames = all.get("data_frames_sent") + all.get("ack_frames_sent");
   r.events = cluster.sim().events_executed();
+  r.allocs_per_op = static_cast<double>(allocs) /
+                    static_cast<double>(w.messages * (w.two_way ? 2 : 1));
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.sim_ms = sim::to_us(cluster.sim().now()) / 1000.0;
   r.counters_fnv = bench::counters_fingerprint(all);
@@ -174,9 +191,9 @@ int main(int argc, char** argv) {
             << "frames = data+ack frames on the wire; events = simulator "
                "events executed; best of " << repeat << " runs\n\n";
 
-  stats::Table t({"workload", "frames", "events", "wall(ms)", "build_ms",
-                  "teardown_ms", "sim(ms)", "Kframes/s", "Kevents/s",
-                  "counters"});
+  stats::Table t({"workload", "frames", "events", "allocs/op", "wall(ms)",
+                  "build_ms", "teardown_ms", "sim(ms)", "Kframes/s",
+                  "Kevents/s", "counters"});
   std::vector<std::pair<Workload, RunStats>> results;
   RunStats total;
   for (const Workload& w : workloads(quick)) {
@@ -189,6 +206,7 @@ int main(int argc, char** argv) {
         .cell(w.name)
         .cell(r.frames)
         .cell(r.events)
+        .cell(r.allocs_per_op, 1)
         .cell(r.wall_ms, 1)
         .cell(r.build_ms, 2)
         .cell(r.teardown_ms, 2)
@@ -198,6 +216,11 @@ int main(int argc, char** argv) {
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
+  bool allocs_ok = true;
+  for (const auto& [w, r] : results) {
+    allocs_ok &= bench::check_per_op(w.name, "heap allocations",
+                                     r.allocs_per_op, w.max_allocs_per_op);
+  }
   const double total_fps = per_sec(total.frames, total.wall_ms);
   std::cout << "\ntotal: " << total.frames << " frames / " << total.events
             << " events in " << total.wall_ms << " ms  =>  "
@@ -267,6 +290,7 @@ int main(int argc, char** argv) {
       const auto& [w, r] = results[i];
       out << "    {\"name\": \"" << w.name << "\", \"frames\": " << r.frames
           << ", \"events\": " << r.events
+          << ", \"allocs_per_op\": " << stats::json::number(r.allocs_per_op)
           << ", \"wall_ms\": " << stats::json::number(r.wall_ms)
           << ", \"build_ms\": " << stats::json::number(r.build_ms)
           << ", \"teardown_ms\": " << stats::json::number(r.teardown_ms)
@@ -315,7 +339,8 @@ int main(int argc, char** argv) {
     }
     // Counter fingerprints are exact (deterministic protocol); wall-clock
     // throughput gets a 20% noise allowance.
-    bool ok = bench::check_fingerprints(
+    bool ok = allocs_ok;
+    ok &= bench::check_fingerprints(
         doc,
         [&](const std::string& name) -> const std::uint64_t* {
           for (const auto& [w, r] : results) {
@@ -345,5 +370,5 @@ int main(int argc, char** argv) {
     std::cout << "check OK: " << total_fps << " frames/s vs baseline "
               << base_fps->number << " (floor " << floor << "), fingerprints match\n";
   }
-  return 0;
+  return allocs_ok ? 0 : 1;
 }

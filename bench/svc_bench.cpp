@@ -246,7 +246,8 @@ double peak_goodput(const std::vector<std::pair<Point, Result>>& rs,
 bool check_headlines(const std::vector<std::pair<Point, Result>>& rs) {
   bool ok = true;
   for (const auto& [p, r] : rs) {
-    ok &= bench::check_events_per_op(p.name, r.events_per_op, kMaxEventsPerOp);
+    ok &= bench::check_per_op(p.name, "simulator events", r.events_per_op,
+                              kMaxEventsPerOp);
   }
 
   // Connection economy: compare totals at the shared top rung.

@@ -91,7 +91,8 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
     --target kv_bench --target svc_bench --target scale_bench --target rma_bench
   # Protocol smoke: throughput floor + exact counter fingerprints, plus the
   # small-op submission-batching gate (smallop-batched must finish >= 1.3x
-  # faster in simulated time than smallop-unbatched; see bench/simspeed.cpp).
+  # faster in simulated time than smallop-unbatched; see bench/simspeed.cpp)
+  # and a fixed per-workload ceiling of heap allocations per write.
   "$BENCH_DIR"/bench/simspeed --check=BENCH_simspeed.json
   # Collective layer: headline properties (log-depth barrier wins at 16
   # nodes, ring all-reduce saturates both 2L rails) plus exact per-workload
@@ -102,7 +103,8 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   # fingerprints against BENCH_kv.json. Also gates the PUT-heavy hot-server
   # pair: doorbell batching + selective signaling + server burst drain must
   # lift small-value throughput >= 1.3x over the unbatched run. Every row
-  # must stay under a fixed ceiling of simulator events per op.
+  # must stay under fixed ceilings of simulator events and heap allocations
+  # per op.
   "$BENCH_DIR"/bench/kv_bench --check=BENCH_kv.json
   # Serving tier: open-loop overload curves. The broker must match the
   # per-client baseline's peak goodput with >= 8x fewer connections, hold

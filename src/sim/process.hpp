@@ -15,6 +15,8 @@
 
 namespace multiedge::sim {
 
+class WaitQueue;
+
 class Process {
  public:
   enum class State { kCreated, kReady, kRunning, kDelaying, kSuspended, kFinished };
@@ -78,6 +80,13 @@ class Process {
   std::uint64_t block_gen_ = 0;  // invalidates stale resume events
   Simulator::EventId timeout_;   // pending suspend() deadline, if any
   bool timed_out_ = false;
+
+  // WaitQueue's intrusive links: the queue this process waits in (nullptr
+  // when none) and its neighbours there.
+  friend class WaitQueue;
+  WaitQueue* wq_ = nullptr;
+  Process* wq_prev_ = nullptr;
+  Process* wq_next_ = nullptr;
 
   inline static Process* current_ = nullptr;
 };

@@ -1,6 +1,5 @@
 #include "sim/wait_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace multiedge::sim {
@@ -10,27 +9,44 @@ void WaitQueue::wait() { wait_until(kTimeInfinity); }
 bool WaitQueue::wait_until(Time deadline) {
   Process* self = Process::current();
   assert(self != nullptr && "WaitQueue::wait() outside any process");
-  waiters_.push_back(self);
+  push_back(self);
   const bool woken = self->suspend(deadline);
-  // On a notify the notifier already removed us; after a timeout, or if the
+  // On a notify the notifier already unlinked us; after a timeout, or if the
   // process was woken directly via Process::wake() (not through this queue),
-  // drop the stale entry to keep the queue consistent.
-  auto it = std::find(waiters_.begin(), waiters_.end(), self);
-  if (it != waiters_.end()) waiters_.erase(it);
+  // drop the stale link to keep the queue consistent.
+  if (self->wq_ == this) unlink(self);
   return woken;
 }
 
 void WaitQueue::notify_one() {
-  if (waiters_.empty()) return;
-  Process* p = waiters_.front();
-  waiters_.pop_front();
+  if (head_ == nullptr) return;
+  Process* p = head_;
+  unlink(p);
   p->wake();
 }
 
 void WaitQueue::notify_all() {
-  std::deque<Process*> ws;
-  ws.swap(waiters_);
-  for (Process* p : ws) p->wake();
+  // wake() only schedules a resume event, so no waiter runs (or re-queues)
+  // before the loop ends: this wakes exactly the current waiters.
+  while (head_ != nullptr) notify_one();
+}
+
+void WaitQueue::push_back(Process* p) {
+  assert(p->wq_ == nullptr && "a process waits in at most one queue");
+  p->wq_ = this;
+  p->wq_prev_ = tail_;
+  p->wq_next_ = nullptr;
+  (tail_ ? tail_->wq_next_ : head_) = p;
+  tail_ = p;
+  ++size_;
+}
+
+void WaitQueue::unlink(Process* p) {
+  assert(p->wq_ == this);
+  (p->wq_prev_ ? p->wq_prev_->wq_next_ : head_) = p->wq_next_;
+  (p->wq_next_ ? p->wq_next_->wq_prev_ : tail_) = p->wq_prev_;
+  p->wq_ = nullptr;
+  --size_;
 }
 
 }  // namespace multiedge::sim

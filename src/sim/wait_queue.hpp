@@ -5,9 +5,14 @@
 // the caller is interested in holds, so callers loop:
 //
 //   while (!cond) queue.wait();
+//
+// The queue is intrusive: a doubly linked list threaded through the waiting
+// Processes' own link fields. A process blocks in at most one queue at a
+// time (suspend() parks its fiber), so one set of links per process is
+// enough, and waiting, notifying and constructing a queue allocate nothing.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 
 #include "sim/process.hpp"
 
@@ -32,11 +37,16 @@ class WaitQueue {
   /// Wake all current waiters.
   void notify_all();
 
-  bool empty() const { return waiters_.empty(); }
-  std::size_t size() const { return waiters_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
  private:
-  std::deque<Process*> waiters_;
+  void push_back(Process* p);
+  void unlink(Process* p);
+
+  Process* head_ = nullptr;
+  Process* tail_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 }  // namespace multiedge::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/wait_queue.hpp"
@@ -206,6 +207,117 @@ TEST(WaitQueue, WakeBeforeDeadlineRemovesTheTimer) {
   EXPECT_EQ(resumed_at, us(5));
   EXPECT_EQ(sim.now(), us(5)) << "a cancelled timer must never fire";
   EXPECT_EQ(sim.pending(), baseline);
+}
+
+// --- queue membership edge cases: timeouts, direct wakes, re-waits ---
+
+TEST(WaitQueue, MiddleWaiterTimeoutKeepsFifoOrder) {
+  Simulator sim;
+  WaitQueue q;
+  std::vector<int> woken;
+  bool middle_woken = true;
+  Process p1(sim, "p1", [&] {
+    q.wait();
+    woken.push_back(1);
+  });
+  Process p2(sim, "p2", [&] { middle_woken = q.wait_until(us(5)); });
+  Process p3(sim, "p3", [&] {
+    q.wait();
+    woken.push_back(3);
+  });
+  p1.start();
+  p2.start();
+  p3.start();
+  sim.in(us(6), [&] {
+    EXPECT_EQ(q.size(), 2u) << "the timed-out middle waiter left the queue";
+    q.notify_one();
+  });
+  sim.in(us(7), [&] { q.notify_one(); });
+  sim.run();
+  EXPECT_FALSE(middle_woken);
+  EXPECT_EQ(woken, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(WaitQueue, DirectlyWokenWaiterDropsOut) {
+  Simulator sim;
+  WaitQueue q;
+  std::vector<int> woken;
+  std::vector<std::unique_ptr<Process>> ps;
+  for (int i = 1; i <= 3; ++i) {
+    ps.push_back(std::make_unique<Process>(sim, "p", [&, i] {
+      q.wait();
+      woken.push_back(i);
+    }));
+    ps.back()->start();
+  }
+  sim.in(us(1), [&] {
+    ASSERT_EQ(q.size(), 3u);
+    ps[1]->wake();  // not through the queue
+  });
+  sim.in(us(2), [&] {
+    EXPECT_EQ(q.size(), 2u) << "the directly woken waiter unlinked itself";
+    q.notify_all();
+    EXPECT_TRUE(q.empty());
+  });
+  sim.run();
+  EXPECT_EQ(woken, (std::vector<int>{2, 1, 3}));
+}
+
+TEST(WaitQueue, TimedOutWaiterCanWaitOnAnotherQueue) {
+  Simulator sim;
+  WaitQueue q1, q2;
+  bool first = true, second = false;
+  Time resumed_at = -1;
+  Process p(sim, "p", [&] {
+    first = q1.wait_until(us(5));
+    second = q2.wait_until(us(100));
+    resumed_at = sim.now();
+  });
+  p.start();
+  sim.in(us(6), [&] {
+    EXPECT_TRUE(q1.empty());
+    EXPECT_EQ(q2.size(), 1u);
+    q1.notify_all();  // the old queue no longer holds p
+    q2.notify_one();
+  });
+  sim.run();
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
+  EXPECT_EQ(resumed_at, us(6));
+  EXPECT_TRUE(q2.empty());
+}
+
+TEST(WaitQueue, NotifyAllSkipsLaterWaiters) {
+  Simulator sim;
+  WaitQueue q;
+  int rounds = 0;
+  bool late_woken = false;
+  // `again` re-waits as soon as it is woken, and `late` starts waiting at
+  // the instant of the notify_all, after it: neither may be woken again.
+  Process again(sim, "again", [&] {
+    q.wait();
+    ++rounds;
+    q.wait();
+    ++rounds;
+  });
+  Process late(sim, "late", [&] {
+    q.wait();
+    late_woken = true;
+  });
+  again.start();
+  sim.in(us(1), [&] {
+    q.notify_all();
+    late.start();
+  });
+  sim.run();
+  EXPECT_EQ(rounds, 1);
+  EXPECT_FALSE(late_woken);
+  EXPECT_EQ(q.size(), 2u);
+  q.notify_all();  // let both finish
+  sim.run();
+  EXPECT_EQ(rounds, 2);
+  EXPECT_TRUE(late_woken);
 }
 
 TEST(Process, WakeAndTimeoutAtSameInstantResolveInEventOrder) {
