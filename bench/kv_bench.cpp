@@ -17,8 +17,9 @@
 //     exceed 1.25x the committed baseline (the simulation is deterministic,
 //     so drift means the protocol or store changed, not noise);
 //   * host work stays bounded: every row costs at most kMaxEventsPerOp
-//     simulator events per KV op (no wait spins on simulated time) and at
-//     most kMaxAllocsPerOp heap allocations per KV op.
+//     simulator events per KV op (no wait spins on simulated time), at
+//     most kMaxAllocsPerOp heap allocations and at most kMaxResumesPerOp
+//     fiber resumes per KV op.
 //
 // Usage: kv_bench [--quick] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_kv.json artifact.
@@ -60,6 +61,14 @@ constexpr double kMaxEventsPerOp = 150;
 // inside cluster.run() per KV op, every row; enforced like kMaxEventsPerOp.
 // About 1.2x the costliest row (13.4, kv-zipf-95g-2L-1G-n8).
 constexpr double kMaxAllocsPerOp = 16;
+
+// Ceiling on fiber resumes (sim::Simulator::fiber_counts) per KV op, every
+// row; enforced like kMaxEventsPerOp. A wakeup whose wait predicate is still
+// false re-queues without a resume (the requeues/op column), so a wait that
+// stops handing its predicate to the queue fails this count. About 1.1x the
+// costliest row (16.0, kv-puthot-small-2L-1G-n4-batched); with a switch per
+// wakeup (resumes + requeues) seven of the ten rows cost 21-26.
+constexpr double kMaxResumesPerOp = 18;
 
 struct Workload {
   std::string name;
@@ -184,6 +193,8 @@ struct Result {
   std::uint64_t offered = 0, late = 0, rejected = 0;  // open-loop rows only
   double events_per_op = 0;
   double allocs_per_op = 0;
+  double resumes_per_op = 0;
+  double requeues_per_op = 0;
   std::uint64_t counters_fnv = 0;
 };
 
@@ -335,6 +346,9 @@ Result run_workload(const Workload& w) {
   stats::Counters all = sys.aggregate_counters();
   r.events_per_op = bench::kv_events_per_op(cluster, all);
   r.allocs_per_op = bench::kv_per_op(allocs, all);
+  r.resumes_per_op = bench::kv_per_op(cluster.sim().fiber_counts().resumes, all);
+  r.requeues_per_op =
+      bench::kv_per_op(cluster.sim().fiber_counts().requeues, all);
   bench::merge_engine_counters(cluster, w.nodes, all);
   r.counters_fnv = bench::counters_fingerprint(all);
   return r;
@@ -362,6 +376,8 @@ bool check_headlines(const std::vector<std::pair<Workload, Result>>& rs) {
                               kMaxEventsPerOp);
     ok &= bench::check_per_op(w.name, "heap allocations", r.allocs_per_op,
                               kMaxAllocsPerOp);
+    ok &= bench::check_per_op(w.name, "fiber resumes", r.resumes_per_op,
+                              kMaxResumesPerOp);
   }
   const Result* one = find(rs, "kv-zipf-95g-1L-1G-n4");
   const Result* two = find(rs, "kv-zipf-95g-2L-1G-n4");
@@ -413,7 +429,8 @@ int main(int argc, char** argv) {
 
   stats::Table t({"workload", "clients", "ops", "sim(ms)", "Kops/s",
                   "GET Kops/s", "GETp50(us)", "GETp95", "GETp99", "PUTp99",
-                  "ev/op", "allocs/op", "counters"});
+                  "ev/op", "allocs/op", "resumes/op", "requeues/op",
+                  "counters"});
   std::vector<std::pair<Workload, Result>> results;
   for (const Workload& w : workloads(args.quick)) {
     Result r = run_workload(w);
@@ -431,6 +448,8 @@ int main(int argc, char** argv) {
         .cell(us(r.put_p99), 1)
         .cell(r.events_per_op, 1)
         .cell(r.allocs_per_op, 1)
+        .cell(r.resumes_per_op, 1)
+        .cell(r.requeues_per_op, 1)
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
@@ -455,7 +474,10 @@ int main(int argc, char** argv) {
           << ", \"put_p50_us\": " << stats::json::number(us(r.put_p50))
           << ", \"put_p99_us\": " << stats::json::number(us(r.put_p99))
           << ", \"events_per_op\": " << stats::json::number(r.events_per_op)
-          << ", \"allocs_per_op\": " << stats::json::number(r.allocs_per_op);
+          << ", \"allocs_per_op\": " << stats::json::number(r.allocs_per_op)
+          << ", \"resumes_per_op\": " << stats::json::number(r.resumes_per_op)
+          << ", \"requeues_per_op\": "
+          << stats::json::number(r.requeues_per_op);
       if (w.open_loop) {
         out << ", \"offered\": " << r.offered << ", \"shed_late\": " << r.late
             << ", \"shed_rejected\": " << r.rejected;
@@ -476,7 +498,9 @@ int main(int argc, char** argv) {
         << ", \"min_speedup\": " << stats::json::number(kMinPutSmallSpeedup)
         << "},\n  \"max_events_per_op\": "
         << stats::json::number(kMaxEventsPerOp) << ",\n  \"max_allocs_per_op\": "
-        << stats::json::number(kMaxAllocsPerOp) << "\n}\n";
+        << stats::json::number(kMaxAllocsPerOp)
+        << ",\n  \"max_resumes_per_op\": "
+        << stats::json::number(kMaxResumesPerOp) << "\n}\n";
     std::cout << "wrote " << args.json_path << '\n';
   }
 

@@ -5,16 +5,17 @@
 // events/sec, plus an FNV-1a fingerprint of the protocol counters so a
 // speedup can be shown to come with bit-identical protocol behavior.
 //
-// Every run also counts heap allocations per write inside cluster.run()
-// (alloc_count.hpp) and exits non-zero if a workload exceeds its fixed
-// ceiling: a deterministic host-work count, unlike the wall-clock rates.
+// Every run also counts heap allocations (alloc_count.hpp) and fiber
+// resumes (sim::Simulator::fiber_counts) per write inside cluster.run() and
+// exits non-zero if a workload exceeds its fixed ceilings: deterministic
+// host-work counts, unlike the wall-clock rates.
 //
 // Usage: simspeed [--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_simspeed.json artifact.
 //   --check  loads a previously committed artifact, reruns the workloads,
 //            and exits non-zero if total frames/sec regressed by more than
-//            20% or if any workload's counter fingerprint changed (CI smoke
-//            stage; see scripts/ci.sh).
+//            20%, or if any workload's counter fingerprint or simulator
+//            event count changed (CI smoke stage; see scripts/ci.sh).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -40,9 +41,10 @@ struct Workload {
   bool two_way = false;
   std::size_t msg_bytes = 64 * 1024;
   int messages = 256;
-  // Ceiling on heap allocations inside cluster.run() per rdma_write,
-  // enforced on every run (see alloc_count.hpp).
+  // Ceilings on heap allocations (see alloc_count.hpp) and on fiber
+  // resumes inside cluster.run() per rdma_write, enforced on every run.
   double max_allocs_per_op = 0;
+  double max_resumes_per_op = 0;
 };
 
 std::vector<Workload> workloads(bool quick) {
@@ -62,13 +64,15 @@ std::vector<Workload> workloads(bool quick) {
   // Allocation ceilings sit about 1.2x above the larger of the --quick and
   // full counts (oneway 53.5, twoway 42.6, retx 39.1, smallop 1.3). A 64 KiB
   // write costs more because the burst's frames outgrow the frame pool's
-  // idle list.
+  // idle list. Resume ceilings do the same (oneway 1.19, twoway 1.15, retx
+  // 1.17, smallop-unbatched 2.01, smallop-batched 1.07); twoway's waiters
+  // would cost 2.1 with a switch per wakeup.
   return {
-      {"oneway-1L-1G", config_1l_1g(2), false, 64 * 1024, msgs, 64},
-      {"twoway-2Lu-1G", config_2lu_1g(2), true, 64 * 1024, msgs, 51},
-      {"retx-2L-1G-drop1", lossy, false, 64 * 1024, msgs, 47},
-      {"smallop-unbatched", config_1l_1g(2), false, 64, small_ops, 1.6},
-      {"smallop-batched", batched, false, 64, small_ops, 1.6},
+      {"oneway-1L-1G", config_1l_1g(2), false, 64 * 1024, msgs, 64, 1.4},
+      {"twoway-2Lu-1G", config_2lu_1g(2), true, 64 * 1024, msgs, 51, 1.4},
+      {"retx-2L-1G-drop1", lossy, false, 64 * 1024, msgs, 47, 1.4},
+      {"smallop-unbatched", config_1l_1g(2), false, 64, small_ops, 1.6, 2.4},
+      {"smallop-batched", batched, false, 64, small_ops, 1.6, 1.3},
   };
 }
 
@@ -80,6 +84,8 @@ struct RunStats {
   std::uint64_t frames = 0;  // data + explicit ack frames put on the wire
   std::uint64_t events = 0;  // simulator events executed
   double allocs_per_op = 0;  // heap allocations in cluster.run() per write
+  double resumes_per_op = 0;   // fiber resumes per write
+  double requeues_per_op = 0;  // wakeups re-queued without a resume, per write
   double wall_ms = 0;  // cluster.run() only
   double build_ms = 0;
   double teardown_ms = 0;
@@ -141,8 +147,12 @@ RunStats run_workload(const Workload& w) {
   RunStats r;
   r.frames = all.get("data_frames_sent") + all.get("ack_frames_sent");
   r.events = cluster.sim().events_executed();
-  r.allocs_per_op = static_cast<double>(allocs) /
-                    static_cast<double>(w.messages * (w.two_way ? 2 : 1));
+  const auto writes = static_cast<double>(w.messages * (w.two_way ? 2 : 1));
+  r.allocs_per_op = static_cast<double>(allocs) / writes;
+  r.resumes_per_op =
+      static_cast<double>(cluster.sim().fiber_counts().resumes) / writes;
+  r.requeues_per_op =
+      static_cast<double>(cluster.sim().fiber_counts().requeues) / writes;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.sim_ms = sim::to_us(cluster.sim().now()) / 1000.0;
   r.counters_fnv = bench::counters_fingerprint(all);
@@ -191,7 +201,8 @@ int main(int argc, char** argv) {
             << "frames = data+ack frames on the wire; events = simulator "
                "events executed; best of " << repeat << " runs\n\n";
 
-  stats::Table t({"workload", "frames", "events", "allocs/op", "wall(ms)",
+  stats::Table t({"workload", "frames", "events", "allocs/op", "resumes/op",
+                  "requeues/op", "wall(ms)",
                   "build_ms", "teardown_ms", "sim(ms)", "Kframes/s",
                   "Kevents/s", "counters"});
   std::vector<std::pair<Workload, RunStats>> results;
@@ -207,6 +218,8 @@ int main(int argc, char** argv) {
         .cell(r.frames)
         .cell(r.events)
         .cell(r.allocs_per_op, 1)
+        .cell(r.resumes_per_op, 2)
+        .cell(r.requeues_per_op, 2)
         .cell(r.wall_ms, 1)
         .cell(r.build_ms, 2)
         .cell(r.teardown_ms, 2)
@@ -216,10 +229,12 @@ int main(int argc, char** argv) {
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
-  bool allocs_ok = true;
+  bool counts_ok = true;
   for (const auto& [w, r] : results) {
-    allocs_ok &= bench::check_per_op(w.name, "heap allocations",
+    counts_ok &= bench::check_per_op(w.name, "heap allocations",
                                      r.allocs_per_op, w.max_allocs_per_op);
+    counts_ok &= bench::check_per_op(w.name, "fiber resumes",
+                                     r.resumes_per_op, w.max_resumes_per_op);
   }
   const double total_fps = per_sec(total.frames, total.wall_ms);
   std::cout << "\ntotal: " << total.frames << " frames / " << total.events
@@ -291,6 +306,9 @@ int main(int argc, char** argv) {
       out << "    {\"name\": \"" << w.name << "\", \"frames\": " << r.frames
           << ", \"events\": " << r.events
           << ", \"allocs_per_op\": " << stats::json::number(r.allocs_per_op)
+          << ", \"resumes_per_op\": " << stats::json::number(r.resumes_per_op)
+          << ", \"requeues_per_op\": "
+          << stats::json::number(r.requeues_per_op)
           << ", \"wall_ms\": " << stats::json::number(r.wall_ms)
           << ", \"build_ms\": " << stats::json::number(r.build_ms)
           << ", \"teardown_ms\": " << stats::json::number(r.teardown_ms)
@@ -337,18 +355,36 @@ int main(int argc, char** argv) {
       std::cerr << "ERROR: baseline missing total.frames_per_sec\n";
       return 1;
     }
-    // Counter fingerprints are exact (deterministic protocol); wall-clock
-    // throughput gets a 20% noise allowance.
-    bool ok = allocs_ok;
+    // Counter fingerprints and event counts are exact (deterministic
+    // simulation); wall-clock throughput gets a 20% noise allowance.
+    bool ok = counts_ok;
+    auto find_result = [&](const std::string& name) -> const RunStats* {
+      for (const auto& [w, r] : results) {
+        if (w.name == name) return &r;
+      }
+      return nullptr;
+    };
     ok &= bench::check_fingerprints(
         doc,
         [&](const std::string& name) -> const std::uint64_t* {
-          for (const auto& [w, r] : results) {
-            if (w.name == name) return &r.counters_fnv;
-          }
-          return nullptr;
+          const RunStats* r = find_result(name);
+          return r ? &r->counters_fnv : nullptr;
         },
         "protocol");
+    if (const stats::json::Value* wl = doc.find("workloads")) {
+      for (const auto& e : wl->array) {
+        const stats::json::Value* name = e.find("name");
+        const stats::json::Value* events = e.find("events");
+        const RunStats* r = name ? find_result(name->string) : nullptr;
+        if (!r || !events || !events->is_number()) continue;
+        if (static_cast<double>(r->events) != events->number) {
+          std::cerr << "CHECK FAIL: workload " << name->string << " executed "
+                    << r->events << " simulator events, baseline "
+                    << events->number << " — the event schedule changed\n";
+          ok = false;
+        }
+      }
+    }
     const double floor = base_fps->number * 0.8;
     if (total_fps < floor) {
       std::cerr << "CHECK FAIL: total frames/sec " << total_fps
@@ -368,7 +404,8 @@ int main(int argc, char** argv) {
     }
     if (!ok) return 1;
     std::cout << "check OK: " << total_fps << " frames/s vs baseline "
-              << base_fps->number << " (floor " << floor << "), fingerprints match\n";
+              << base_fps->number << " (floor " << floor
+              << "), fingerprints and event counts match\n";
   }
-  return allocs_ok ? 0 : 1;
+  return counts_ok ? 0 : 1;
 }

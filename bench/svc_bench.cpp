@@ -24,7 +24,8 @@
 //   * the broker's accepted-op p99 stays bounded at the top rung while the
 //     per-client baseline's p99 blows past it (the open-loop collapse the
 //     broker exists to prevent);
-//   * every row costs at most kMaxEventsPerOp simulator events per KV op.
+//   * every row costs at most kMaxEventsPerOp simulator events and at most
+//     kMaxResumesPerOp fiber resumes per KV op.
 //
 // Usage: svc_bench [--quick] [--json[=path]] [--check=<baseline>]
 //   --json   writes the machine-readable BENCH_svc.json artifact.
@@ -62,6 +63,10 @@ constexpr double kMinOverloadGoodputFrac = 0.8;
 // Ceiling on simulator events per KV op, every row (bench_common.hpp
 // kv_events_per_op).
 constexpr double kMaxEventsPerOp = 200;
+// Ceiling on fiber resumes per KV op, every row (see kv_bench.cpp
+// kMaxResumesPerOp). About 1.15x the costliest row (10.5,
+// svc-perclient-incast-60k); with a switch per wakeup every row costs 20-51.
+constexpr double kMaxResumesPerOp = 12;
 
 struct Point {
   std::string name;
@@ -78,6 +83,8 @@ struct Result {
   bench::OpenLoopCounts oc;
   std::uint64_t conns = 0;  // client-side connections opened
   double events_per_op = 0;
+  double resumes_per_op = 0;
+  double requeues_per_op = 0;
   std::uint64_t counters_fnv = 0;
 };
 
@@ -186,6 +193,9 @@ Result run_point(const Point& pt) {
   stats::Counters all = sys.aggregate_counters();
   r.conns = pt.broker ? all.get("svc_conns_opened") : all.get("kv_client_conns");
   r.events_per_op = bench::kv_events_per_op(cluster, all);
+  r.resumes_per_op = bench::kv_per_op(cluster.sim().fiber_counts().resumes, all);
+  r.requeues_per_op =
+      bench::kv_per_op(cluster.sim().fiber_counts().requeues, all);
   bench::merge_engine_counters(cluster, kNodes, all);
   r.counters_fnv = bench::counters_fingerprint(all);
   return r;
@@ -248,6 +258,8 @@ bool check_headlines(const std::vector<std::pair<Point, Result>>& rs) {
   for (const auto& [p, r] : rs) {
     ok &= bench::check_per_op(p.name, "simulator events", r.events_per_op,
                               kMaxEventsPerOp);
+    ok &= bench::check_per_op(p.name, "fiber resumes", r.resumes_per_op,
+                              kMaxResumesPerOp);
   }
 
   // Connection economy: compare totals at the shared top rung.
@@ -345,7 +357,7 @@ int main(int argc, char** argv) {
 
   stats::Table t({"workload", "offered(K/s)", "goodput(K/s)", "p50(us)",
                   "p95(us)", "p99(us)", "ok", "late", "rej", "err", "conns",
-                  "ev/op", "counters"});
+                  "ev/op", "resumes/op", "requeues/op", "counters"});
   std::vector<std::pair<Point, Result>> results;
   for (const Point& p : points(args.quick)) {
     Result r = run_point(p);
@@ -363,6 +375,8 @@ int main(int argc, char** argv) {
         .cell(r.oc.errors)
         .cell(r.conns)
         .cell(r.events_per_op, 1)
+        .cell(r.resumes_per_op, 1)
+        .cell(r.requeues_per_op, 1)
         .cell(bench::hex(r.counters_fnv));
   }
   t.print(std::cout);
@@ -389,6 +403,9 @@ int main(int argc, char** argv) {
           << ", \"shed_rejected\": " << r.oc.rejected
           << ", \"errors\": " << r.oc.errors << ", \"conns\": " << r.conns
           << ", \"events_per_op\": " << stats::json::number(r.events_per_op)
+          << ", \"resumes_per_op\": " << stats::json::number(r.resumes_per_op)
+          << ", \"requeues_per_op\": "
+          << stats::json::number(r.requeues_per_op)
           << ", \"counters_fnv1a\": \"" << bench::hex(r.counters_fnv) << "\"}"
           << (i + 1 < results.size() ? ",\n" : "\n");
     }
@@ -397,6 +414,7 @@ int main(int argc, char** argv) {
         << ", \"min_overload_goodput_frac\": "
         << stats::json::number(kMinOverloadGoodputFrac)
         << ", \"max_events_per_op\": " << stats::json::number(kMaxEventsPerOp)
+        << ", \"max_resumes_per_op\": " << stats::json::number(kMaxResumesPerOp)
         << "}\n}\n";
     std::cout << "wrote " << args.json_path << '\n';
   }

@@ -125,12 +125,16 @@ void Communicator::consume_signal(int src, int chan) {
   // involves every rank, and in chained algorithms (dissemination barrier,
   // ring) a rank can be blocked on an alive peer that is itself stuck
   // behind the dead one. A rank whose own node was declared dead counts
-  // too: its peers have already given up on it.
+  // too: its peers have already given up on it. The test is pure, so the
+  // wait can check it in its resume event; the abort runs in this fiber.
+  std::function<bool()> failed;
   std::function<void()> abort;
   if (member_view_ != nullptr) {
+    failed = [v = member_view_] {
+      return v->num_down() != 0 || v->declared_dead();
+    };
     abort = [this, src] {
       const member::View& v = *member_view_;
-      if (v.num_down() == 0 && !v.declared_dead()) return;
       int dead = v.declared_dead() ? v.self() : src;
       for (int p = 0; p < size_; ++p) {
         if (v.is_down(p)) {
@@ -147,7 +151,7 @@ void Communicator::consume_signal(int src, int chan) {
       throw PeerFailure(dead);
     };
   }
-  win_.wait_notify(src, domain_.slot_va(src, chan), abort);
+  win_.wait_notify(src, domain_.slot_va(src, chan), failed, abort);
 }
 
 std::uint32_t Communicator::chunk_bytes() const {

@@ -214,16 +214,11 @@ class Endpoint {
   // --- the blocking wait (fiber-blocking; contract in DESIGN.md §4) ---
   /// Block until `pred()` holds or simulated time reaches `deadline`;
   /// returns pred()'s final value (false = timed out). Re-checks after each
-  /// notify of this node's notify_events() queue. Charges no CPU.
+  /// notify of this node's notify_events() queue, in the resume event, so
+  /// `pred` must be pure and must not throw. Charges no CPU.
   template <class Pred>
   bool wait_until(Pred&& pred, sim::Time deadline = sim::kTimeInfinity) {
-    while (!pred()) {
-      if (engine_.sim().now() >= deadline ||
-          !engine_.notify_events().wait_until(deadline)) {
-        return pred();
-      }
-    }
-    return true;
+    return engine_.notify_events().wait_until(pred, deadline);
   }
   /// Make every wait_until() on this node re-check its predicate.
   void notify_waiters() { engine_.notify_events().notify_all(); }

@@ -383,10 +383,12 @@ void Dsm::send_msg(int dst, Message m, bool fence) {
 }
 
 void Dsm::service_loop() {
+  // The mailbox window matches its own tag only: notifications on other
+  // tags belong to other layers sharing the endpoint and must not be stolen.
+  const int tag = msg_win_.config().tag;
+  const proto::Engine& eng = ep_.engine();
   while (!stop_service_) {
     rma::NotifyEvent ev;
-    // The mailbox window matches tag 0 only: notifications on other tags
-    // belong to other layers sharing the endpoint and must not be stolen.
     if (msg_win_.test_notify(&ev)) {
       const DsmConfig& cfg = system_.cfg_;
       stats_.overhead += cfg.msg_handling_cost;
@@ -397,7 +399,7 @@ void Dsm::service_loop() {
       }
       continue;
     }
-    ep_.engine().notify_events().wait();
+    ep_.wait_until([&] { return stop_service_ || eng.has_notification(tag); });
   }
 }
 

@@ -68,20 +68,21 @@ class NotifyQueue {
   /// Block the calling fiber until a matching notified access arrives.
   /// Consumes this tag's notifications in arrival order; mismatches are
   /// stashed for later matches (they are someone else's, on this queue).
-  /// `abort`, if set, runs before every block on an empty queue and may
-  /// throw to abandon the wait. Without it the wait is exactly the plain
-  /// wait_notification loop.
+  /// `failed`, if set, is a fail-fast test: the wait's predicate checks it
+  /// whenever this tag's queue is empty, so it must be pure (DESIGN.md §4).
+  /// Once it holds with nothing queued, the wait calls `on_failure` in the
+  /// waiting fiber, which must throw to abandon the wait. Without `failed`
+  /// the wait is exactly the plain wait_notification loop.
   NotifyEvent wait(int src = kAnySrc, std::uint64_t va = kAnyVa,
-                   const std::function<void()>& abort = {}) {
+                   const std::function<bool()>& failed = {},
+                   const std::function<void()>& on_failure = {}) {
     NotifyEvent ev;
     if (take_stashed(&ev, src, va)) return ev;
+    const proto::Engine& eng = ep_.engine();
     for (;;) {
-      if (abort) {
-        ep_.wait_until([&] {
-          const bool queued = ep_.engine().has_notification(tag_);
-          if (!queued) abort();
-          return queued;
-        });
+      if (failed) {
+        ep_.wait_until([&] { return eng.has_notification(tag_) || failed(); });
+        if (!eng.has_notification(tag_)) on_failure();
       }
       Notification n = ep_.wait_notification(tag_);
       if (matches(n, src, va)) {

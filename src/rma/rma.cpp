@@ -153,8 +153,9 @@ std::uint64_t Window::token_va(int src) const {
 }
 
 NotifyEvent Window::wait_notify(int src, std::uint64_t va,
-                                const std::function<void()>& abort) {
-  return nq_.wait(src, va, abort);
+                                const std::function<bool()>& failed,
+                                const std::function<void()>& on_failure) {
+  return nq_.wait(src, va, failed, on_failure);
 }
 
 bool Window::test_notify(NotifyEvent* out, int src, std::uint64_t va) {

@@ -117,10 +117,12 @@ class Window {
                       std::uint64_t remote_va, std::uint32_t bytes);
 
   /// Receive side: block for / probe for a matching notified access.
-  /// src = kAnySrc and va = kAnyVa widen the match; `abort` may throw to
-  /// abandon the wait (see NotifyQueue::wait).
+  /// src = kAnySrc and va = kAnyVa widen the match; once the pure test
+  /// `failed` holds, `on_failure` throws to abandon the wait (see
+  /// NotifyQueue::wait).
   NotifyEvent wait_notify(int src = kAnySrc, std::uint64_t va = kAnyVa,
-                          const std::function<void()>& abort = {});
+                          const std::function<bool()>& failed = {},
+                          const std::function<void()>& on_failure = {});
   bool test_notify(NotifyEvent* out, int src = kAnySrc,
                    std::uint64_t va = kAnyVa);
 

@@ -1,7 +1,10 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
-#include <cstdlib>
+#include <new>
 #include <utility>
 
 #ifdef MULTIEDGE_ASAN_FIBERS
@@ -9,6 +12,13 @@
 #endif
 
 namespace multiedge::sim {
+
+namespace {
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+}  // namespace
 
 #ifdef MULTIEDGE_ASAN_FIBERS
 namespace {
@@ -19,16 +29,25 @@ std::size_t main_stack_bytes = 0;
 }  // namespace
 #endif
 
-Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : body_(std::move(body)), stack_(new char[stack_bytes]) {
+Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
+  const std::size_t page = page_bytes();
+  map_bytes_ = page + (stack_bytes + page - 1) / page * page;
+  // MAP_NORESERVE: a stack reserves address space, not swap; its pages are
+  // committed as they are first touched.
+  void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  map_ = static_cast<char*>(map);
+  // Stacks grow down, so the guard goes at the low end.
+  if (mprotect(map_, page, PROT_NONE) != 0) {
+    munmap(map_, map_bytes_);
+    throw std::bad_alloc();
+  }
   getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes;
+  ctx_.uc_stack.ss_sp = map_ + page;
+  ctx_.uc_stack.ss_size = map_bytes_ - page;
   ctx_.uc_link = &return_ctx_;
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
-#ifdef MULTIEDGE_ASAN_FIBERS
-  stack_bytes_ = stack_bytes;
-#endif
 }
 
 Fiber::~Fiber() {
@@ -36,6 +55,7 @@ Fiber::~Fiber() {
   // destroying a suspended fiber would leak whatever RAII state lives on its
   // stack. All owners in this codebase join their fibers first.
   assert(done_ || !started_);
+  munmap(map_, map_bytes_);
 }
 
 void Fiber::trampoline() {
@@ -61,7 +81,8 @@ void Fiber::resume() {
   current_ = this;
 #ifdef MULTIEDGE_ASAN_FIBERS
   void* main_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&main_fake_stack, stack_.get(), stack_bytes_);
+  __sanitizer_start_switch_fiber(&main_fake_stack, map_ + page_bytes(),
+                                 map_bytes_ - page_bytes());
 #endif
   swapcontext(&return_ctx_, &ctx_);
 #ifdef MULTIEDGE_ASAN_FIBERS

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/wait_queue.hpp"
+
 namespace multiedge::sim {
 
 Process::Process(Simulator& sim, std::string name, Fiber::Body body,
@@ -19,6 +21,7 @@ void Process::start() {
 }
 
 void Process::run_slice() {
+  ++sim_.fiber_counts().resumes;
   state_ = State::kRunning;
   Process* prev = current_;
   current_ = this;
@@ -45,8 +48,15 @@ void Process::delay(Time d) {
 
 bool Process::suspend(Time deadline) {
   assert(current_ == this && "suspend() called outside the process fiber");
+  block(deadline);
+  Fiber::yield();
+  return !timed_out_;
+}
+
+void Process::block(Time deadline) {
   state_ = State::kSuspended;
   const std::uint64_t gen = ++block_gen_;
+  deadline_ = deadline;
   timed_out_ = false;
   if (deadline != kTimeInfinity) {
     timeout_ = sim_.at_cancellable(deadline, [this, gen] {
@@ -56,17 +66,16 @@ bool Process::suspend(Time deadline) {
       run_slice();
     });
   }
-  Fiber::yield();
-  return !timed_out_;
 }
 
-void Process::wake() {
+void Process::schedule_resume(WaitQueue* via) {
   if (state_ != State::kSuspended) return;
   sim_.cancel(timeout_);  // stale or default ids are ignored
   state_ = State::kReady;
   const std::uint64_t gen = ++block_gen_;
-  sim_.in(0, [this, gen] {
+  sim_.in(0, [this, gen, via] {
     if (gen != block_gen_ || state_ != State::kReady) return;
+    if (via != nullptr && via->requeue_if_false(this)) return;
     run_slice();
   });
 }

@@ -17,6 +17,23 @@ namespace multiedge::sim {
 
 class WaitQueue;
 
+/// Non-owning reference to a wait condition: `fn(ctx)` evaluates it. A
+/// WaitQueue evaluates it in the waiter's resume event, outside its fiber,
+/// so it must be pure, must not throw and must not use Process::current()
+/// (DESIGN.md §4). The referenced callable must outlive the wait.
+struct WaitPredicate {
+  bool (*fn)(void*) = nullptr;
+  void* ctx = nullptr;
+
+  template <class F>
+  static WaitPredicate of(F& pred) {
+    return {[](void* p) -> bool { return (*static_cast<F*>(p))(); },
+            const_cast<void*>(static_cast<const void*>(&pred))};
+  }
+  explicit operator bool() const { return fn != nullptr; }
+  bool operator()() const { return fn(ctx); }
+};
+
 class Process {
  public:
   enum class State { kCreated, kReady, kRunning, kDelaying, kSuspended, kFinished };
@@ -48,8 +65,10 @@ class Process {
 
   /// Unblock a suspended process; it resumes at the current simulated time.
   /// Waking a process that is not suspended is a no-op (wakeups never queue;
-  /// callers must re-check their condition after suspend() returns).
-  void wake();
+  /// callers must re-check their condition after suspend() returns). A
+  /// direct wake always resumes the fiber, even one waiting in a WaitQueue
+  /// with a predicate that is still false.
+  void wake() { schedule_resume(nullptr); }
 
   bool done() const { return state_ == State::kFinished; }
   State state() const { return state_; }
@@ -72,6 +91,12 @@ class Process {
 
  private:
   void run_slice();
+  /// State change and deadline of a block: shared by suspend() and by a
+  /// WaitQueue re-queueing the process without resuming it.
+  void block(Time deadline);
+  /// wake(), recording the queue that notified the process (nullptr for a
+  /// direct wake): the resume event offers it the chance to re-queue.
+  void schedule_resume(WaitQueue* via);
 
   Simulator& sim_;
   std::string name_;
@@ -79,14 +104,17 @@ class Process {
   State state_ = State::kCreated;
   std::uint64_t block_gen_ = 0;  // invalidates stale resume events
   Simulator::EventId timeout_;   // pending suspend() deadline, if any
+  Time deadline_ = kTimeInfinity;  // of the current block
   bool timed_out_ = false;
 
   // WaitQueue's intrusive links: the queue this process waits in (nullptr
-  // when none) and its neighbours there.
+  // when none) and its neighbours there; and the condition it waits for
+  // (empty for a plain wait).
   friend class WaitQueue;
   WaitQueue* wq_ = nullptr;
   Process* wq_prev_ = nullptr;
   Process* wq_next_ = nullptr;
+  WaitPredicate wq_pred_;
 
   inline static Process* current_ = nullptr;
 };

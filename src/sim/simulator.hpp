@@ -84,6 +84,14 @@ class Simulator {
   /// Events currently pending.
   std::size_t pending() const { return heap_.size(); }
 
+  /// Host-work counts kept by the sim::Process objects on this simulator,
+  /// deterministic like events_executed() (diagnostics / perf gates).
+  struct FiberCounts {
+    std::uint64_t resumes = 0;   // switches into a process fiber
+    std::uint64_t requeues = 0;  // wakeups re-queued without one (WaitQueue)
+  };
+  FiberCounts& fiber_counts() { return fiber_counts_; }
+
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
 
@@ -115,6 +123,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  FiberCounts fiber_counts_;
   bool stopped_ = false;
 };
 

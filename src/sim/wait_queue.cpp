@@ -6,11 +6,13 @@ namespace multiedge::sim {
 
 void WaitQueue::wait() { wait_until(kTimeInfinity); }
 
-bool WaitQueue::wait_until(Time deadline) {
+bool WaitQueue::wait_once(Time deadline, WaitPredicate pred) {
   Process* self = Process::current();
   assert(self != nullptr && "WaitQueue::wait() outside any process");
   push_back(self);
+  self->wq_pred_ = pred;
   const bool woken = self->suspend(deadline);
+  self->wq_pred_ = {};
   // On a notify the notifier already unlinked us; after a timeout, or if the
   // process was woken directly via Process::wake() (not through this queue),
   // drop the stale link to keep the queue consistent.
@@ -18,16 +20,30 @@ bool WaitQueue::wait_until(Time deadline) {
   return woken;
 }
 
+bool WaitQueue::requeue_if_false(Process* p) {
+  // The loop in wait_until(pred, deadline) would now see wait_once() return
+  // true, re-check pred(), compare the time with the deadline and call
+  // wait_once() again: push_back, then suspend()'s block(). Doing the same
+  // here keeps every scheduling call, and so the event order, unchanged.
+  if (!p->wq_pred_ || p->sim_.now() >= p->deadline_ || p->wq_pred_()) {
+    return false;
+  }
+  push_back(p);
+  p->block(p->deadline_);
+  ++p->sim_.fiber_counts().requeues;
+  return true;
+}
+
 void WaitQueue::notify_one() {
   if (head_ == nullptr) return;
   Process* p = head_;
   unlink(p);
-  p->wake();
+  p->schedule_resume(this);
 }
 
 void WaitQueue::notify_all() {
-  // wake() only schedules a resume event, so no waiter runs (or re-queues)
-  // before the loop ends: this wakes exactly the current waiters.
+  // A resume is only scheduled, so no waiter runs (or re-queues) before the
+  // loop ends: this wakes exactly the current waiters.
   while (head_ != nullptr) notify_one();
 }
 

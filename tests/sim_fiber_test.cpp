@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace multiedge::sim {
@@ -79,6 +83,49 @@ TEST(Fiber, ManyFibersInterleave) {
 TEST(Fiber, UnstartedFiberDestructsSafely) {
   Fiber f([] { FAIL() << "body must not run"; });
   // Destructor of an unstarted fiber must not execute the body.
+}
+
+// Recursion that cannot be turned into a loop: each frame's buffer stays
+// live across the call below it.
+[[gnu::noinline]] std::size_t recurse(std::size_t depth) {
+  char buf[1024];
+  std::memset(buf, static_cast<int>(depth), sizeof buf);
+  const std::size_t below = depth == 0 ? 0 : recurse(depth - 1);
+  asm volatile("" : : "r"(buf) : "memory");
+  return below + static_cast<unsigned char>(buf[depth % sizeof buf]);
+}
+
+TEST(FiberDeathTest, StackOverflowHitsTheGuardPage) {
+  EXPECT_DEATH(
+      {
+        Fiber f([] { recurse(std::size_t{1} << 20); }, 16 * 1024);
+        f.resume();
+      },
+      "");
+}
+
+long rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(Fiber, StacksCommitOnlyTouchedPages) {
+  const long before = rss_kib();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  int ran = 0;
+  for (int i = 0; i < 64; ++i) {
+    fibers.push_back(std::make_unique<Fiber>([&] { ++ran; }));
+  }
+  // 64 default stacks reserve 16 MiB of address space; only the pages
+  // makecontext() writes are committed.
+  EXPECT_LT(rss_kib() - before, 1024);
+  for (auto& f : fibers) f->resume();
+  EXPECT_EQ(ran, 64);
 }
 
 }  // namespace

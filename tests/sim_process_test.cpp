@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "sim/random.hpp"
 #include "sim/wait_queue.hpp"
 
 namespace multiedge::sim {
@@ -344,6 +346,201 @@ TEST(Process, WakeAndTimeoutAtSameInstantResolveInEventOrder) {
   EXPECT_FALSE(run(false));
   EXPECT_TRUE(run(true));
   EXPECT_FALSE(run(false));
+}
+
+// --- predicate waits: WaitQueue::wait_until(pred, deadline) ---
+
+TEST(WaitQueue, FalsePredicateWaiterIsNeverResumed) {
+  Simulator sim;
+  WaitQueue q;
+  bool cond = false;
+  int body_runs = 0;
+  Time observed = -1;
+  Process waiter(sim, "waiter", [&] {
+    ++body_runs;
+    auto pred = [&] { return cond; };
+    EXPECT_TRUE(q.wait_until(pred));
+    observed = sim.now();
+  });
+  waiter.start();
+  for (int i = 1; i <= 5; ++i) sim.in(us(i), [&] { q.notify_all(); });
+  sim.in(us(6), [&] { q.notify_one(); });
+  sim.run_until(us(9));
+  // Six notifies found the predicate false: each re-queued the waiter in
+  // its resume event and never switched into the fiber.
+  EXPECT_EQ(body_runs, 1);
+  EXPECT_EQ(sim.fiber_counts().resumes, 1u);  // the start only
+  EXPECT_EQ(sim.fiber_counts().requeues, 6u);
+  EXPECT_EQ(q.size(), 1u);
+  sim.at(us(10), [&] {
+    cond = true;
+    q.notify_all();
+  });
+  sim.run();
+  EXPECT_TRUE(waiter.done());
+  EXPECT_EQ(observed, us(10));
+  EXPECT_EQ(sim.fiber_counts().resumes, 2u);
+  EXPECT_EQ(sim.fiber_counts().requeues, 6u);
+}
+
+TEST(WaitQueue, RequeuedWaiterDeadlineFiresOnTime) {
+  Simulator sim;
+  WaitQueue q;
+  bool ok = true;
+  Time returned_at = -1;
+  Process waiter(sim, "waiter", [&] {
+    auto never = [] { return false; };
+    ok = q.wait_until(never, us(50));
+    returned_at = sim.now();
+  });
+  waiter.start();
+  for (int t : {10, 20, 30, 49}) sim.in(us(t), [&] { q.notify_all(); });
+  sim.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(returned_at, us(50));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(sim.fiber_counts().requeues, 4u);
+  EXPECT_EQ(sim.fiber_counts().resumes, 2u);  // the start and the timeout
+}
+
+TEST(WaitQueue, NotifyAtTheDeadlineResumesTheWaiter) {
+  // With no time left the wait loop would return, so the resume event must
+  // switch into the fiber rather than re-queue it.
+  Simulator sim;
+  WaitQueue q;
+  bool ok = true;
+  Process waiter(sim, "waiter", [&] {
+    auto never = [] { return false; };
+    ok = q.wait_until(never, us(50));
+    EXPECT_EQ(sim.now(), us(50));
+  });
+  sim.in(us(50), [&] { q.notify_all(); });  // runs before the timeout event
+  waiter.start();
+  sim.run();
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(waiter.done());
+  EXPECT_EQ(sim.fiber_counts().requeues, 0u);
+}
+
+TEST(WaitQueue, DirectWakeResumesPredicateWaiter) {
+  Simulator sim;
+  WaitQueue q;
+  bool cond = false;
+  int pred_checks_in_fiber = 0;
+  Process waiter(sim, "waiter", [&] {
+    Process* self = Process::current();
+    auto pred = [&] {
+      if (Process::current() == self) ++pred_checks_in_fiber;
+      return cond;
+    };
+    q.wait_until(pred);
+  });
+  waiter.start();
+  sim.in(us(1), [&] { waiter.wake(); });  // not through the queue
+  sim.run_until(us(2));
+  // The direct wake switched into the fiber, whose loop re-checked the
+  // predicate and waited again.
+  EXPECT_EQ(sim.fiber_counts().resumes, 2u);
+  EXPECT_EQ(sim.fiber_counts().requeues, 0u);
+  EXPECT_EQ(pred_checks_in_fiber, 2);
+  EXPECT_EQ(q.size(), 1u);
+  sim.at(us(3), [&] {
+    cond = true;
+    q.notify_one();
+  });
+  sim.run();
+  EXPECT_TRUE(waiter.done());
+  EXPECT_TRUE(q.empty());
+}
+
+// A seeded random script of waits, notifies and deadlines, run once with
+// predicate waits (spurious wakeups re-queue in the resume event) and once
+// with the plain Mesa loop over wait_until(deadline) (every wakeup switches
+// into the fiber). Both must produce the same simulation.
+struct ScriptRun {
+  std::vector<std::tuple<Time, int, int, bool>> returns;  // when, who, round, ok
+  Time end = 0;
+  std::uint64_t events = 0;
+  Simulator::FiberCounts counts;
+};
+
+ScriptRun run_wait_script(std::uint64_t seed, bool with_predicates) {
+  constexpr int kProcs = 6;
+  constexpr int kRounds = 12;
+  constexpr int kNotifies = 300;
+  Simulator sim;
+  WaitQueue q;
+  std::vector<int> tokens(kProcs, 0);
+  ScriptRun out;
+  std::vector<std::unique_ptr<Process>> ps;
+  for (int i = 0; i < kProcs; ++i) {
+    ps.push_back(std::make_unique<Process>(sim, "w", [&, i] {
+      Rng rng(seed * 31 + static_cast<std::uint64_t>(i));
+      auto pred = [&] { return tokens[i] > 0; };
+      for (int round = 0; round < kRounds; ++round) {
+        const auto wait_us = static_cast<std::int64_t>(1 + rng.next_below(40));
+        const Time deadline =
+            rng.chance(0.3) ? kTimeInfinity : sim.now() + us(wait_us);
+        bool ok;
+        if (with_predicates) {
+          ok = q.wait_until(pred, deadline);
+        } else {
+          while (!(ok = pred())) {
+            if (sim.now() >= deadline || !q.wait_until(deadline)) {
+              ok = pred();
+              break;
+            }
+          }
+        }
+        out.returns.emplace_back(sim.now(), i, round, ok);
+        if (ok) --tokens[i];
+        const auto pause_ns = static_cast<std::int64_t>(rng.next_below(3000));
+        if (rng.chance(0.5)) Process::current()->delay(ns(pause_ns));
+      }
+    }));
+  }
+  for (auto& p : ps) p->start();
+  Rng script(seed);
+  for (int n = 0; n < kNotifies; ++n) {
+    const Time at = ns(static_cast<std::int64_t>(script.next_below(200000)));
+    const auto action = script.next_below(4);
+    const int who = static_cast<int>(script.next_below(kProcs));
+    sim.at(at, [&, action, who] {
+      if (action >= 2) ++tokens[who];  // makes one waiter's predicate true
+      if (action % 2 == 0) {
+        q.notify_all();
+      } else {
+        q.notify_one();
+      }
+    });
+  }
+  sim.run();
+  // Unblock whoever still waits on an infinite deadline.
+  while (!q.empty()) {
+    for (int& t : tokens) ++t;
+    q.notify_all();
+    sim.run();
+  }
+  for (auto& p : ps) EXPECT_TRUE(p->done());
+  out.end = sim.now();
+  out.events = sim.events_executed();
+  out.counts = sim.fiber_counts();
+  return out;
+}
+
+TEST(WaitQueue, PredicateWaitsReplayThePlainLoopExactly) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 20261020u}) {
+    const ScriptRun plain = run_wait_script(seed, false);
+    const ScriptRun pred = run_wait_script(seed, true);
+    EXPECT_EQ(pred.returns, plain.returns) << "seed " << seed;
+    EXPECT_EQ(pred.end, plain.end) << "seed " << seed;
+    EXPECT_EQ(pred.events, plain.events) << "seed " << seed;
+    // Every elided switch is one the plain loop made.
+    EXPECT_EQ(plain.counts.requeues, 0u);
+    EXPECT_GT(pred.counts.requeues, 0u) << "seed " << seed;
+    EXPECT_EQ(pred.counts.resumes + pred.counts.requeues, plain.counts.resumes)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace
